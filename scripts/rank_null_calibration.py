@@ -2,9 +2,13 @@
 
 Counts selected ranks over repeated draws for three regimes: duplicated
 blocks (every signal direction shared), independent Gaussian blocks (nothing
-shared), and a planted model with a known joint rank.
+shared), and a planted model with a known joint rank.  For the independent
+regime it also prints the false-positive rate (any nonzero joint rank) with
+a 95% Wilson interval, to check the sampler against the nominal level
+1 - quantile:
 
     python scripts/rank_null_calibration.py --runs 50
+    python scripts/rank_null_calibration.py --runs 1000 --n 2000
 """
 
 import argparse
@@ -21,6 +25,14 @@ def tally(label, decisions):
     taus = [d.tau for d in decisions]
     pretty = ", ".join(f"r={r}: {c}" for r, c in sorted(counts.items()))
     print(f"{label:<22} {pretty}   (tau mean {np.mean(taus):.3f})")
+
+
+def wilson_interval(hits, runs, z=1.959964):
+    """95% Wilson score interval for a binomial proportion."""
+    rate = hits / runs
+    centre = (rate + z * z / (2 * runs)) / (1 + z * z / runs)
+    half = z * np.sqrt(rate * (1 - rate) / runs + z * z / (4 * runs * runs)) / (1 + z * z / runs)
+    return centre - half, centre + half
 
 
 def main():
@@ -49,6 +61,10 @@ def main():
             select_joint_rank(blocks, (5, 5), resamples=args.resamples, seed=4000 + run, mode=args.mode)
         )
     tally("independent blocks", independent)
+    false_pos = sum(d.joint_rank > 0 for d in independent)
+    low, high = wilson_interval(false_pos, args.runs)
+    print(f"{'':<22} false positives {false_pos}/{args.runs} = {false_pos / args.runs:.1%} "
+          f"(95% CI {low:.1%}-{high:.1%}; nominal {1 - independent[0].quantile:.1%})")
 
     planted = []
     for run in range(args.runs):

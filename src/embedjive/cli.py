@@ -32,7 +32,7 @@ from embedjive.embed_io import EmbeddingMatrix, align_vocabularies, parse_embedd
 from embedjive.evaluate import evaluate, read_corpus_tsv, train_linear
 from embedjive.jive import JiveConfig, VarianceReport, jive_fit, variance_explained
 from embedjive.linalg import NumericError, truncated_svd
-from embedjive.rank_select import estimate_signal_rank, select_individual_ranks, select_joint_rank
+from embedjive.rank_select import RankDecision, estimate_signal_rank, select_individual_ranks, select_joint_rank
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -122,8 +122,8 @@ def _initial_joint_vt(blocks, joint_rank: int) -> np.ndarray:
     return truncated_svd(stacked, joint_rank).Vt
 
 
-def _resolve_ranks(args, blocks) -> tuple[int, list[int], float | None]:
-    tau = None
+def _resolve_ranks(args, blocks) -> tuple[int, list[int], RankDecision | None]:
+    decision = None
     if args.joint_rank == "auto":
         signal_ranks = [estimate_signal_rank(b, energy=args.energy) for b in blocks]
         decision = select_joint_rank(
@@ -135,7 +135,6 @@ def _resolve_ranks(args, blocks) -> tuple[int, list[int], float | None]:
             mode=args.rank_mode,
         )
         joint_rank = decision.joint_rank
-        tau = decision.tau
     else:
         try:
             joint_rank = int(args.joint_rank)
@@ -145,7 +144,7 @@ def _resolve_ranks(args, blocks) -> tuple[int, list[int], float | None]:
         individual_ranks = select_individual_ranks(blocks, _initial_joint_vt(blocks, joint_rank), energy=args.energy)
     else:
         individual_ranks = _rank_list(args.individual_ranks, len(blocks), "--individual-ranks")
-    return joint_rank, individual_ranks, tau
+    return joint_rank, individual_ranks, decision
 
 
 def cmd_decompose(args) -> int:
@@ -153,7 +152,8 @@ def cmd_decompose(args) -> int:
         raise ValueError("decompose needs at least 2 --input embeddings")
     matrices, input_records = _load_inputs(args.input)
     blocks, align_report = _prepared_blocks(matrices)
-    joint_rank, individual_ranks, tau = _resolve_ranks(args, blocks)
+    joint_rank, individual_ranks, decision = _resolve_ranks(args, blocks)
+    tau = None if decision is None else decision.tau
     if joint_rank == 0 and not any(individual_ranks):
         raise ValueError("empty model: joint rank 0 and all individual ranks 0")
 
@@ -225,6 +225,7 @@ def cmd_decompose(args) -> int:
         "max_iter": config.max_iter,
         "seed": config.seed,
         "tau": tau,
+        "rank_decision": None if decision is None else decision.to_json_dict(),
         "enforce_orthogonality": config.enforce_orthogonality,
         "converged": result.converged,
         "iterations": result.iterations,
@@ -481,6 +482,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_parser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[command]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args, remaining = parser.parse_known_args(argv)
@@ -493,7 +499,15 @@ def main(argv: list[str] | None = None) -> int:
         if not isinstance(overrides, dict):
             print("error: config file must hold a JSON object", file=sys.stderr)
             return EXIT_USAGE
-        parser.set_defaults(**{k.replace("-", "_"): v for k, v in overrides.items()})
+        # Defaults go on the chosen subcommand's parser: its own defaults would
+        # overwrite any set on the top-level parser.
+        command_parser = _command_parser(parser, args.command)
+        overrides = {k.replace("-", "_"): v for k, v in overrides.items()}
+        unknown = sorted(set(overrides) - {a.dest for a in command_parser._actions if a.dest != "help"})
+        if unknown:
+            print(f"error: config keys not accepted by {args.command}: {', '.join(unknown)}", file=sys.stderr)
+            return EXIT_USAGE
+        command_parser.set_defaults(**overrides)
         args = parser.parse_args(argv)
     elif remaining:
         args = parser.parse_args(argv)

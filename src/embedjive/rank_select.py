@@ -12,6 +12,16 @@ near 1.  The decision threshold combines two pieces:
   subspace (a Wedin-type sine bound); a truly shared direction must keep its
   stacked squared singular value above K minus the summed squared sines.
 
+Neither sampler draws anything with n (vocabulary) rows, yet both are exact
+in distribution.  The null's K random bases are the column blocks of one
+Haar n x T frame, T the summed signal ranks; their relative geometry is that
+of the column blocks of the T x T Bartlett factor of an n x T Gaussian
+(Absil, Edelman & Koev, "On the largest principal angle between random
+subspaces", LAA 2006).  The Wedin floor needs only the t x m corner of a Haar
+n x m frame (Feng et al., "Angle-based joint and individual variation
+explained", JMVA 2018), drawn from t Gaussian rows plus the Bartlett factor
+of the remaining n - t.  A draw costs O(T^3) and O(p m^2), not O(n T^2).
+
 The exact thresholding recipe is an implementation choice of this package;
 ``RankDecision.method`` records which rule produced a decision so downstream
 reports stay self-describing.
@@ -183,12 +193,30 @@ def select_individual_ranks(blocks, joint_vt, explicit=None, energy: float = 0.9
     return ranks
 
 
+def _bartlett(rng: np.random.Generator, rows: int, cols: int, dof: int) -> np.ndarray:
+    """Upper-trapezoidal ``rows x cols`` R with R'R ~ Wishart(dof, I_cols):
+    the R factor of a ``dof x cols`` Gaussian matrix (Bartlett decomposition),
+    drawn without the ``dof`` rows.  Needs ``dof >= rows``."""
+    r = np.triu(rng.standard_normal((rows, cols)), 1)
+    j = np.arange(rows)
+    r[j, j] = np.sqrt(rng.chisquare(dof - j))
+    return r
+
+
 def _null_spectrum_max(n: int, ranks: list[int], resamples: int, seq: np.random.SeedSequence) -> np.ndarray:
-    """Largest squared singular value of stacks of independent random bases."""
+    """Largest squared singular value of stacks of independent random bases.
+
+    An n x T Gaussian G factors as Q R with Q Haar and independent of R, so
+    the orthonormal bases of G's column blocks are Q times those of R's; the
+    stacked Gram, and with it the spectrum, is that of the T x T R alone.
+    """
+    total = sum(ranks)
+    splits = np.cumsum(ranks)[:-1]
     out = np.empty(resamples)
     for d, child in enumerate(seq.spawn(resamples)):
         rng = np.random.default_rng(child)
-        stacked = np.hstack([np.linalg.qr(rng.standard_normal((n, t_i)))[0] for t_i in ranks])
+        r = _bartlett(rng, total, total, n)
+        stacked = np.hstack([np.linalg.qr(cols)[0] for cols in np.hsplit(r, splits)])
         out[d] = float(np.linalg.eigvalsh(stacked.T @ stacked).max())
     return out
 
@@ -209,10 +237,15 @@ def _wedin_sin_bound(arr, svd, t_i: int, resamples: int, quantile: float, seq: n
     for d, child in enumerate(seq.spawn(resamples)):
         rng = np.random.default_rng(child)
         u_rand = np.linalg.qr(rng.standard_normal((p, m)))[0]
-        v_rand = np.linalg.qr(rng.standard_normal((n, m)))[0]
-        # E = u_rand diag(residual_sv) v_rand'; operator norms of E V-hat and
-        # U-hat' E reduce to small t x m / m x t products.
-        right = np.linalg.norm(residual_sv[:, None] * (v_rand.T @ svd.Vt.T), 2)
+        # E = u_rand diag(residual_sv) v_rand' with v_rand a Haar n x m frame;
+        # operator norms of E V-hat and U-hat' E reduce to small t x m / m x t
+        # products.  V-hat' v_rand is, in law, the top t x m corner of a Haar
+        # frame: the Q factor of a Gaussian whose last n - t rows enter only
+        # through their Gram, a Wishart(n - t) drawn as its Bartlett factor.
+        g1 = rng.standard_normal((t_i, m))
+        r2 = _bartlett(rng, min(n - t_i, m), m, n - t_i)
+        corner = np.linalg.qr(np.vstack([g1, r2]))[0][:t_i]
+        right = np.linalg.norm(corner * residual_sv[None, :], 2)
         left = np.linalg.norm((svd.U.T @ u_rand) * residual_sv[None, :], 2)
         bounds[d] = min(1.0, max(right, left) / smallest_signal)
     return float(np.quantile(bounds, quantile, method="higher"))

@@ -114,6 +114,24 @@ class TestDecompose:
         assert sidecar["tau"] is not None
         capsys.readouterr()
 
+    def test_rank_decision_persisted(self, input_files, tmp_path, capsys):
+        argv = ["decompose", "--input", input_files[0], "--input", input_files[1], "--seed", "5"]
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main([*argv, "--out-dir", str(out_a)]) == 0
+        assert main([*argv, "--out-dir", str(out_b)]) == 0
+        assert (out_a / "model.json").read_bytes() == (out_b / "model.json").read_bytes()
+        sidecar = json.loads((out_a / "model.json").read_text())
+        decision = sidecar["rank_decision"]
+        assert decision["tau"] == sidecar["tau"] and decision["joint_rank"] == sidecar["joint_rank"]
+        assert decision["seed"] == 5 and decision["method"] == "wedin-resample"
+        assert len(decision["signal_ranks"]) == 2 and len(decision["wedin_sin2"]) == 2
+        assert len(decision["spectrum"]) == sum(decision["signal_ranks"])
+        assert decision["tau_null"] is not None and decision["tau_wedin"] is not None
+        pinned = tmp_path / "pinned"
+        assert run_decompose(input_files, pinned) == 0
+        capsys.readouterr()
+        assert json.loads((pinned / "model.json").read_text())["rank_decision"] is None
+
 
 class TestRanks:
     def test_duplicated_input_selects_signal_rank(self, input_files, capsys):
@@ -268,3 +286,39 @@ class TestConfigFile:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["joint_rank"] == 2
         assert manifest["config"]["seed"] == 9
+
+    def test_config_values_reach_the_subcommand(self, input_files, tmp_path, capsys):
+        # Auto-selection picks joint rank 2 on these inputs, so a config
+        # value of 1 shows whether the file was applied at all.
+        auto = tmp_path / "auto"
+        assert main(["decompose", "--input", input_files[0], "--input", input_files[1],
+                     "--out-dir", str(auto)]) == 0
+        assert json.loads((auto / "model.json").read_text())["joint_rank"] == 2
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"epsilon": 0.5, "joint_rank": "1", "max-iter": "7"}))
+        out = tmp_path / "out"
+        code = main(
+            [
+                "--config", str(config_path),
+                "decompose",
+                "--input", input_files[0],
+                "--input", input_files[1],
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["joint_rank"] == 1
+        assert config["epsilon"] == 0.5
+        assert config["max_iter"] == 7
+        assert json.loads((out / "model.json").read_text())["rank_decision"] is None
+
+    def test_unknown_config_key_rejected(self, input_files, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        # epsilon belongs to decompose, not to ranks.
+        config_path.write_text(json.dumps({"seed": 4, "epsilon": 0.5, "jointrank": "1"}))
+        code = main(["--config", str(config_path), "ranks", "--input", input_files[0], "--input", input_files[1]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "epsilon" in err and "jointrank" in err

@@ -1,7 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
+from embedjive.linalg import singular_values, truncated_svd
 from embedjive.rank_select import (
+    _null_spectrum_max,
+    _wedin_sin_bound,
     estimate_signal_rank,
     select_individual_ranks,
     select_joint_rank,
@@ -112,6 +118,85 @@ class TestSelectJointRank:
         null = select_joint_rank([x, y], (3, 3), seed=0, mode="null")
         assert wedin.method == "wedin-resample" and wedin.tau_wedin is not None
         assert null.method == "mc-null" and null.tau_wedin is None
+
+
+def _reference_null_max(n, ranks, draws, rng):
+    """The explicit sampler: QR-factor an n x t Gaussian per block."""
+    out = np.empty(draws)
+    for d in range(draws):
+        stacked = np.hstack([np.linalg.qr(rng.standard_normal((n, t_i)))[0] for t_i in ranks])
+        out[d] = np.linalg.eigvalsh(stacked.T @ stacked).max()
+    return out
+
+
+def _reference_wedin_draws(arr, svd, t_i, draws, rng):
+    """The explicit sampler: Haar frames of full height p and n."""
+    p, n = arr.shape
+    residual_sv = singular_values(arr)[t_i:]
+    out = np.empty(draws)
+    for d in range(draws):
+        u_rand = np.linalg.qr(rng.standard_normal((p, residual_sv.size)))[0]
+        v_rand = np.linalg.qr(rng.standard_normal((n, residual_sv.size)))[0]
+        right = np.linalg.norm(residual_sv[:, None] * (v_rand.T @ svd.Vt.T), 2)
+        left = np.linalg.norm((svd.U.T @ u_rand) * residual_sv[None, :], 2)
+        out[d] = min(1.0, max(right, left) / svd.S[-1])
+    return out
+
+
+def _assert_same_law(sample, reference):
+    assert ks_2samp(sample, reference).pvalue > 0.01
+    stderr = np.sqrt(sample.var(ddof=1) / sample.size + reference.var(ddof=1) / reference.size)
+    assert abs(sample.mean() - reference.mean()) <= 3 * stderr
+
+
+class TestSamplersMatchExplicitDraws:
+    """The n-free samplers against the explicit n-row draws they replace."""
+
+    @pytest.mark.parametrize("ranks", [(4, 6), (3, 5, 4)])
+    def test_null_spectrum_max(self, ranks):
+        n, draws = 300, 500
+        sample = _null_spectrum_max(n, list(ranks), draws, np.random.SeedSequence(41))
+        _assert_same_law(sample, _reference_null_max(n, ranks, draws, np.random.default_rng(42)))
+
+    def test_wedin_right_term(self, rng):
+        # With U-hat zeroed the left (p-side) term vanishes, which otherwise
+        # dominates for p << n, and the bound is the Haar-corner term alone.
+        u = np.linalg.qr(rng.standard_normal((12, 3)))[0]
+        vt = np.linalg.qr(rng.standard_normal((300, 3)))[0].T
+        arr = (u * [3.0, 2.5, 2.0]) @ vt + 0.05 * rng.standard_normal((12, 300))
+        t_i, draws = 3, 500
+        svd = truncated_svd(arr, t_i)
+        svd = dataclasses.replace(svd, U=np.zeros_like(svd.U))
+        # One draw per call: quantile over a single sample is that sample.
+        sample = np.array([
+            _wedin_sin_bound(arr, svd, t_i, 1, 0.5, np.random.SeedSequence([44, d])) for d in range(draws)
+        ])
+        reference = _reference_wedin_draws(arr, svd, t_i, draws, rng)
+        assert 0.0 < reference.max() < 1.0
+        _assert_same_law(sample, reference)
+
+    @pytest.mark.parametrize("mode", ["null", "wedin"])
+    def test_no_qr_has_vocabulary_rows(self, rng, monkeypatch, mode):
+        n = 300
+        shapes = []
+        plain_qr = np.linalg.qr
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return plain_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        blocks = [rng.standard_normal((8, n)), rng.standard_normal((10, n))]
+        select_joint_rank(blocks, (3, 3), resamples=20, seed=0, mode=mode)
+        assert shapes
+        assert all(shape[0] != n for shape in shapes)
+
+    @pytest.mark.parametrize("mode", ["null", "wedin"])
+    def test_signal_ranks_fill_the_vocabulary(self, rng, mode):
+        blocks = [rng.standard_normal((6, 10)), rng.standard_normal((7, 10))]
+        decision = select_joint_rank(blocks, (5, 5), resamples=20, seed=0, mode=mode)
+        assert np.isfinite(decision.tau)
+        assert np.isfinite(decision.spectrum).all()
 
 
 class TestSelectIndividualRanks:
