@@ -18,6 +18,7 @@ from embedjive.embed_io import (
     write_embedding,
 )
 from embedjive.jive import (
+    BlockStack,
     FitDiagnostics,
     JiveConfig,
     JiveResult,
@@ -33,13 +34,14 @@ from embedjive.rank_select import (
     select_individual_ranks,
     select_joint_rank,
 )
-from embedjive.compose import CompositionSpec, compose, make_variance_report, standard_compositions, write_report
+from embedjive.compose import CompositionSpec, compose, standard_compositions, write_report
 from embedjive.evaluate import EvalResult, LabeledCorpus, LinearModel, evaluate, featurize, train_linear
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentReport",
+    "BlockStack",
     "CompositionSpec",
     "EmbeddingMatrix",
     "EvalResult",
@@ -61,7 +63,6 @@ __all__ = [
     "jive_fit",
     "jive_init",
     "low_rank_approx",
-    "make_variance_report",
     "parse_embedding",
     "preprocess",
     "project_rows_off",

@@ -30,13 +30,23 @@ from embedjive.compose import (
 )
 from embedjive.embed_io import EmbeddingMatrix, align_vocabularies, parse_embedding, preprocess, write_embedding
 from embedjive.evaluate import evaluate, read_corpus_tsv, train_linear
-from embedjive.jive import JiveConfig, VarianceReport, jive_fit, variance_explained
-from embedjive.linalg import NumericError, truncated_svd
+from embedjive.jive import BlockStack, JiveConfig, VarianceReport, jive_fit, variance_explained
+
+# truncated_svd is unused here but stays importable under this name, which
+# perfbench/traced_cli.py wraps.
+from embedjive.linalg import NumericError, truncated_svd  # noqa: F401
 from embedjive.rank_select import RankDecision, estimate_signal_rank, select_individual_ranks, select_joint_rank
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+
+# Fit invariants checked after every decompose: the residual may not rise by
+# more than this fraction of the stacked blocks' energy between sweeps, and
+# with orthogonality enforced no |J_i A_i'| entry may exceed this fraction of
+# ||X_i||_F^2.
+RESIDUAL_INCREASE_TOL = 1e-10
+ORTHOGONALITY_TOL = 1e-8
 
 MODEL_FILE = "model.json"
 MANIFEST_FILE = "manifest.json"
@@ -115,19 +125,12 @@ def _prepared_blocks(matrices: list[EmbeddingMatrix]):
     return blocks, align_report
 
 
-def _initial_joint_vt(blocks, joint_rank: int) -> np.ndarray:
-    stacked = np.vstack([b.data for b in blocks])
-    if joint_rank == 0:
-        return np.zeros((0, stacked.shape[1]))
-    return truncated_svd(stacked, joint_rank).Vt
-
-
-def _resolve_ranks(args, blocks) -> tuple[int, list[int], RankDecision | None]:
+def _resolve_ranks(args, stack: BlockStack) -> tuple[int, list[int], RankDecision | None]:
     decision = None
     if args.joint_rank == "auto":
-        signal_ranks = [estimate_signal_rank(b, energy=args.energy) for b in blocks]
+        signal_ranks = [estimate_signal_rank(stack.block(i), energy=args.energy) for i in range(len(stack))]
         decision = select_joint_rank(
-            blocks,
+            stack,
             signal_ranks,
             resamples=args.resamples,
             quantile=args.quantile,
@@ -141,10 +144,25 @@ def _resolve_ranks(args, blocks) -> tuple[int, list[int], RankDecision | None]:
         except ValueError:
             raise ValueError(f"--joint-rank must be an integer or 'auto', got {args.joint_rank!r}") from None
     if args.individual_ranks == "auto":
-        individual_ranks = select_individual_ranks(blocks, _initial_joint_vt(blocks, joint_rank), energy=args.energy)
+        individual_ranks = select_individual_ranks(stack, stack.row_basis(joint_rank), energy=args.energy)
     else:
-        individual_ranks = _rank_list(args.individual_ranks, len(blocks), "--individual-ranks")
+        individual_ranks = _rank_list(args.individual_ranks, len(stack), "--individual-ranks")
     return joint_rank, individual_ranks, decision
+
+
+def _invariant_violations(result) -> list[str]:
+    problems = []
+    if result.max_residual_increase > RESIDUAL_INCREASE_TOL:
+        problems.append(
+            f"residual rose by {result.max_residual_increase:.3e} of the total energy"
+            f" (limit {RESIDUAL_INCREASE_TOL:g})"
+        )
+    if result.config.enforce_orthogonality and result.orthogonality_deviation > ORTHOGONALITY_TOL:
+        problems.append(
+            f"joint/individual orthogonality deviation {result.orthogonality_deviation:.3e}"
+            f" (limit {ORTHOGONALITY_TOL:g})"
+        )
+    return problems
 
 
 def cmd_decompose(args) -> int:
@@ -152,7 +170,9 @@ def cmd_decompose(args) -> int:
         raise ValueError("decompose needs at least 2 --input embeddings")
     matrices, input_records = _load_inputs(args.input)
     blocks, align_report = _prepared_blocks(matrices)
-    joint_rank, individual_ranks, decision = _resolve_ranks(args, blocks)
+    # Compressed once: the rank policies and every fit sweep reuse it.
+    stack = BlockStack(blocks)
+    joint_rank, individual_ranks, decision = _resolve_ranks(args, stack)
     tau = None if decision is None else decision.tau
     if joint_rank == 0 and not any(individual_ranks):
         raise ValueError("empty model: joint rank 0 and all individual ranks 0")
@@ -165,11 +185,17 @@ def cmd_decompose(args) -> int:
         enforce_orthogonality=not args.no_orthogonality,
         seed=args.seed,
     )
-    result = jive_fit(blocks, config)
+    result = jive_fit(stack, config)
+    if result.stop_reason == "max_iter":
+        print(
+            f"warning: fit stopped at max_iter={config.max_iter} before the relative residual"
+            f" decrease fell below epsilon={config.epsilon:g}",
+            file=sys.stderr,
+        )
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    vocab = blocks[0].vocab
+    vocab = stack[0].vocab
     outputs = []
 
     joint_file = None
@@ -187,7 +213,7 @@ def cmd_decompose(args) -> int:
         else:
             individual_files.append(None)
 
-    report = variance_explained(result, blocks)
+    report = variance_explained(result, stack)
     provenance = {
         "joint_rank": result.joint_rank,
         "individual_ranks": result.individual_ranks,
@@ -213,7 +239,7 @@ def cmd_decompose(args) -> int:
 
     sidecar = {
         "block_names": result.block_names,
-        "block_dims": [b.dim for b in blocks],
+        "block_dims": stack.dims,
         "block_sq_norms": result.block_sq_norms,
         "n_words": len(vocab),
         "n_dropped": align_report.dropped_per_source,
@@ -228,8 +254,13 @@ def cmd_decompose(args) -> int:
         "rank_decision": None if decision is None else decision.to_json_dict(),
         "enforce_orthogonality": config.enforce_orthogonality,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "iterations": result.iterations,
         "final_residual": result.residual_history[-1],
+        "invariants": {
+            "max_residual_increase": result.max_residual_increase,
+            "orthogonality_deviation": result.orthogonality_deviation,
+        },
         "variance": report_json_dict(report),
     }
     (out_dir / MODEL_FILE).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -250,6 +281,9 @@ def cmd_decompose(args) -> int:
     _write_manifest(out_dir, "decompose", config_echo, input_records, outputs)
     print(report_tsv(report), end="")
     print(f"converged={result.converged} iterations={result.iterations} out_dir={out_dir}")
+    violations = _invariant_violations(result)
+    if violations:
+        raise NumericError("fit invariants violated: " + "; ".join(violations))
     return EXIT_OK
 
 

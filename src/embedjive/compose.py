@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from embedjive.embed_io import EmbeddingMatrix
-from embedjive.jive import VarianceReport, variance_explained
+from embedjive.jive import VarianceReport
 
 JOINT_PART = "joint"
 _IND_RE = re.compile(r"ind(\d+)$")
@@ -86,10 +86,6 @@ def compose(result, spec: CompositionSpec, vocab: list[str]) -> EmbeddingMatrix:
     if not rows:
         raise ValueError(f"empty composition: {spec.name!r} selects only rank-0 components")
     return EmbeddingMatrix(vocab=list(vocab), data=np.vstack(rows), name=spec.name)
-
-
-def make_variance_report(result, blocks) -> VarianceReport:
-    return variance_explained(result, blocks)
 
 
 def report_json_dict(report: VarianceReport, provenance: dict | None = None) -> dict:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import embedjive.cli
 from corpus_util import separable_corpus, write_corpus_tsv
 from embedjive.cli import main
 from embedjive.embed_io import EmbeddingMatrix, parse_embedding, write_embedding
@@ -131,6 +132,52 @@ class TestDecompose:
         assert run_decompose(input_files, pinned) == 0
         capsys.readouterr()
         assert json.loads((pinned / "model.json").read_text())["rank_decision"] is None
+
+
+class TestRunContract:
+    def test_stop_reason_and_invariants_recorded(self, input_files, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_decompose(input_files, out) == 0
+        assert capsys.readouterr().err == ""
+        sidecar = json.loads((out / "model.json").read_text())
+        assert sidecar["stop_reason"] == "tolerance"
+        assert sidecar["invariants"]["max_residual_increase"] == 0.0
+        assert 0.0 <= sidecar["invariants"]["orthogonality_deviation"] <= 1e-12
+
+    def test_max_iter_warns(self, input_files, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_decompose(input_files, out, ["--max-iter", "1", "--epsilon", "1e-15"]) == 0
+        assert "max_iter=1" in capsys.readouterr().err
+        sidecar = json.loads((out / "model.json").read_text())
+        assert sidecar["stop_reason"] == "max_iter" and sidecar["converged"] is False
+
+    @pytest.fixture()
+    def tampered_fit(self, monkeypatch):
+        def install(tamper):
+            fit = embedjive.cli.jive_fit
+
+            def tampered(blocks, config):
+                result = fit(blocks, config)
+                tamper(result)
+                return result
+
+            monkeypatch.setattr(embedjive.cli, "jive_fit", tampered)
+
+        return install
+
+    def test_rising_residual_exits_3(self, input_files, tmp_path, capsys, tampered_fit):
+        tampered_fit(lambda result: result.residual_history.append(result.residual_history[-1] + 1e-6))
+        out = tmp_path / "out"
+        assert run_decompose(input_files, out) == 3
+        assert "residual rose" in capsys.readouterr().err
+        assert json.loads((out / "model.json").read_text())["invariants"]["max_residual_increase"] > 1e-10
+
+    def test_orthogonality_violation_exits_3(self, input_files, tmp_path, capsys, tampered_fit):
+        tampered_fit(lambda result: setattr(result, "orthogonality_deviation", 1e-6))
+        assert run_decompose(input_files, tmp_path / "out") == 3
+        assert "orthogonality deviation" in capsys.readouterr().err
+        # Without the constraint the parts are not meant to be orthogonal.
+        assert run_decompose(input_files, tmp_path / "literal", ["--no-orthogonality"]) == 0
 
 
 class TestRanks:

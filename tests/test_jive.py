@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from embedjive.jive import JiveConfig, jive_fit, jive_init, variance_explained
-from embedjive.linalg import NumericError, principal_angle_sines
+import embedjive.jive
+from embedjive.jive import BlockStack, JiveConfig, jive_fit, jive_init, variance_explained
+from embedjive.linalg import NumericError, principal_angle_sines, truncated_svd
 from embedjive.synthetic import make_planted
 
 
@@ -175,7 +176,6 @@ class TestFit:
         result = jive_fit(blocks, JiveConfig(joint_rank=2, individual_ranks=(1, 1), epsilon=1e-7, max_iter=30))
         assert len(result.diagnostics.relative_changes) == len(result.residual_history) - 1
         assert result.diagnostics.final_residual == result.residual_history[-1]
-        assert result.diagnostics.wall_time_s >= 0.0
 
 
 class TestVarianceExplained:
@@ -209,3 +209,161 @@ class TestVarianceExplained:
             assert abs(report.joint_pct[i] - joint) <= 1e-6
             assert abs(report.individual_pct[i] - individual) <= 1e-6
             assert abs(report.residual_pct[i] - residual) <= 1e-6
+
+    def test_rejects_other_blocks(self, rng):
+        blocks = [rng.standard_normal((5, 40)), rng.standard_normal((7, 40))]
+        result = jive_fit(blocks, JiveConfig(joint_rank=2, individual_ranks=(1, 2)))
+        assert variance_explained(result, BlockStack(blocks)).joint_pct == variance_explained(result, blocks).joint_pct
+        for other in ([2.0 * blocks[0], blocks[1]], blocks[::-1], blocks[:1]):
+            with pytest.raises(ValueError, match="fitted|blocks"):
+                variance_explained(result, other)
+
+
+def reference_fit(blocks, config):
+    """The uncompressed sweep loop: every step on the n-wide blocks.
+
+    Returns the residual history, the lifted factors the compressed fit must
+    reproduce, and each block's joint/individual/residual percentages."""
+    arrays = [np.asarray(b, dtype=float) for b in blocks]
+    stacked = np.vstack(arrays)
+    offsets = np.cumsum([0] + [a.shape[0] for a in arrays])
+    slices = [slice(offsets[i], offsets[i + 1]) for i in range(len(arrays))]
+    exact_floor = 1e-24 * float(np.sum(stacked**2))
+
+    def row_basis(m):
+        return truncated_svd(m, config.joint_rank).Vt if config.joint_rank else np.zeros((0, m.shape[1]))
+
+    def individual(leftover, rank):
+        if rank == 0:
+            return np.zeros((leftover.shape[0], 0)), np.zeros((0, leftover.shape[1]))
+        svd = truncated_svd(leftover, rank)
+        return svd.U, svd.S[:, None] * svd.Vt
+
+    vt = row_basis(stacked)
+    source = stacked
+    joint = (source @ vt.T) @ vt
+    parts = [individual(arrays[i] - joint[s], r) for i, (s, r) in enumerate(zip(slices, config.individual_ranks))]
+    indiv = np.vstack([d @ h for d, h in parts])
+    history = [float(np.sum((stacked - joint - indiv) ** 2))]
+    converged = history[0] <= exact_floor
+    while not converged and len(history) <= config.max_iter:
+        deflated = stacked - indiv
+        vt = row_basis(deflated)
+        source = stacked if config.enforce_orthogonality else deflated
+        joint = (source @ vt.T) @ vt
+        parts = []
+        for i, (s, r) in enumerate(zip(slices, config.individual_ranks)):
+            leftover = arrays[i] - joint[s]
+            if config.enforce_orthogonality:
+                leftover = leftover - (leftover @ vt.T) @ vt
+            parts.append(individual(leftover, r))
+        indiv = np.vstack([d @ h for d, h in parts])
+        history.append(float(np.sum((stacked - joint - indiv) ** 2)))
+        rel = (history[-2] - history[-1]) / history[-2]
+        converged = rel < config.epsilon or history[-1] <= exact_floor
+
+    svd = truncated_svd(source @ vt.T, config.joint_rank)
+    joint_basis = svd.S[:, None] * (svd.Vt @ vt)
+    loadings = [svd.U[s] for s in slices]
+    pct = []
+    for i, x in enumerate(arrays):
+        j, a = loadings[i] @ joint_basis, parts[i][0] @ parts[i][1]
+        pct.append([100 * float(np.sum(m**2)) / float(np.sum(x**2)) for m in (j, a, x - j - a)])
+    return history, joint_basis, loadings, [h for _, h in parts], pct
+
+
+class TestCompressedFit:
+    """The fit on the compressed stack against the uncompressed reference loop."""
+
+    @pytest.mark.parametrize(
+        "dims, n, joint_rank, ranks, orthogonal",
+        [
+            ((8, 12), 90, 2, (2, 1), True),
+            ((6, 8, 10), 80, 2, (1, 2, 1), True),
+            ((8, 12), 90, 2, (2, 1), False),
+            ((30, 40), 50, 3, (3, 4), True),
+            ((20, 30), 50, 3, (2, 2), True),
+        ],
+        ids=["two-blocks", "three-blocks", "literal", "P>n", "P=n"],
+    )
+    def test_matches_uncompressed_loop(self, dims, n, joint_rank, ranks, orthogonal):
+        model = make_planted(dims, n, joint_rank, ranks, noise_sigma=0.05, seed=4)
+        config = JiveConfig(joint_rank=joint_rank, individual_ranks=ranks, epsilon=1e-9, max_iter=200,
+                            enforce_orthogonality=orthogonal)
+        history, joint_basis, loadings, scores, pct = reference_fit(model.blocks, config)
+        result = jive_fit(model.blocks, config)
+        assert result.iterations == len(history) - 1
+        assert np.abs(np.array(result.residual_history) - history).max() <= 1e-10 * history[0]
+        assert np.abs(result.joint_basis - joint_basis).max() <= 1e-10
+        for i in range(len(dims)):
+            assert np.abs(result.loadings[i] - loadings[i]).max() <= 1e-10
+            assert np.abs(result.individual_scores[i] - scores[i]).max() <= 1e-10
+        report = variance_explained(result, model.blocks)
+        got = np.array([report.joint_pct, report.individual_pct, report.residual_pct]).T
+        assert np.abs(got - np.array(pct)).max() <= 1e-10
+
+    def test_compressed_width(self, rng):
+        for dims, n in (((8, 12), 90), ((30, 40), 50), ((20, 30), 50)):
+            blocks = [rng.standard_normal((p, n)) for p in dims]
+            stack = BlockStack(blocks)
+            assert stack.stacked.shape == (sum(dims), min(sum(dims), n))
+            for i, block in enumerate(blocks):
+                assert np.abs(stack.lift(stack.block(i)) - block).max() <= 1e-12
+
+    def test_no_vocabulary_wide_svd(self, rng, monkeypatch):
+        n = 300
+        shapes = []
+        plain = embedjive.jive.truncated_svd
+
+        def spy(matrix, k):
+            shapes.append(np.shape(matrix))
+            return plain(matrix, k)
+
+        monkeypatch.setattr(embedjive.jive, "truncated_svd", spy)
+        blocks = [rng.standard_normal((8, n)), rng.standard_normal((10, n))]
+        result = jive_fit(blocks, JiveConfig(joint_rank=3, individual_ranks=(2, 3), epsilon=1e-8))
+        assert result.iterations >= 1 and shapes
+        assert all(shape[1] != n for shape in shapes)
+
+    def test_prebuilt_stack_gives_the_same_fit(self, rng):
+        blocks = [rng.standard_normal((5, 40)), rng.standard_normal((7, 40))]
+        config = JiveConfig(joint_rank=2, individual_ranks=(1, 2), epsilon=1e-8)
+        from_list, from_stack = jive_fit(blocks, config), jive_fit(BlockStack(blocks), config)
+        assert from_list.residual_history == from_stack.residual_history
+        assert np.array_equal(from_list.joint_basis, from_stack.joint_basis)
+
+
+class TestRunContract:
+    def test_stop_reasons(self, rng):
+        x = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 30))
+        exact = jive_fit([x, x.copy()], JiveConfig(joint_rank=2, individual_ranks=(0, 0)))
+        assert exact.stop_reason == "exact_fit" and exact.converged
+        blocks = [rng.standard_normal((6, 40)), rng.standard_normal((7, 40))]
+        config = JiveConfig(joint_rank=2, individual_ranks=(2, 2), epsilon=1e-6)
+        converged = jive_fit(blocks, config)
+        assert converged.stop_reason == "tolerance" and converged.converged
+        stopped = jive_fit(blocks, JiveConfig(joint_rank=2, individual_ranks=(2, 2), epsilon=1e-15, max_iter=2))
+        assert stopped.stop_reason == "max_iter" and not stopped.converged and stopped.iterations == 2
+        assert jive_init(blocks, config).stop_reason is None
+
+    @pytest.mark.parametrize("orthogonal", [True, False])
+    def test_orthogonality_deviation_matches_word_space(self, orthogonal):
+        model = make_planted((8, 12), 90, 2, (2, 1), noise_sigma=0.05, seed=6)
+        config = JiveConfig(joint_rank=2, individual_ranks=(2, 1), epsilon=1e-9, enforce_orthogonality=orthogonal)
+        result = jive_fit(model.blocks, config)
+        direct = max(
+            np.abs(result.joint_block(i) @ result.individual_block(i).T).max() / np.sum(block**2)
+            for i, block in enumerate(model.blocks)
+        )
+        assert abs(result.orthogonality_deviation - direct) <= 1e-12
+        if orthogonal:
+            assert result.orthogonality_deviation <= 1e-12
+        else:
+            assert result.orthogonality_deviation > 1e-6
+
+    def test_max_residual_increase(self, rng):
+        blocks = [rng.standard_normal((5, 30)), rng.standard_normal((6, 30))]
+        result = jive_fit(blocks, JiveConfig(joint_rank=2, individual_ranks=(1, 1), epsilon=1e-7, max_iter=30))
+        assert result.max_residual_increase == 0.0
+        result.residual_history.append(result.residual_history[-1] + 0.5)
+        assert result.max_residual_increase == pytest.approx(0.5 / total_sq(blocks), rel=1e-12)

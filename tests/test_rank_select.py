@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from embedjive.jive import BlockStack
 from embedjive.linalg import singular_values, truncated_svd
 from embedjive.rank_select import (
     _null_spectrum_max,
@@ -169,7 +170,7 @@ class TestSamplersMatchExplicitDraws:
         svd = dataclasses.replace(svd, U=np.zeros_like(svd.U))
         # One draw per call: quantile over a single sample is that sample.
         sample = np.array([
-            _wedin_sin_bound(arr, svd, t_i, 1, 0.5, np.random.SeedSequence([44, d])) for d in range(draws)
+            _wedin_sin_bound(arr, svd, t_i, 1, 0.5, np.random.SeedSequence([44, d]), arr.shape[1]) for d in range(draws)
         ])
         reference = _reference_wedin_draws(arr, svd, t_i, draws, rng)
         assert 0.0 < reference.max() < 1.0
@@ -197,6 +198,67 @@ class TestSamplersMatchExplicitDraws:
         decision = select_joint_rank(blocks, (5, 5), resamples=20, seed=0, mode=mode)
         assert np.isfinite(decision.tau)
         assert np.isfinite(decision.spectrum).all()
+
+
+def _reference_left_only(arr, svd, t_i, resamples, quantile, seq):
+    """The Wedin bound without its right (n-side) term, on the same draws."""
+    residual_sv = singular_values(arr)[t_i:]
+    bounds = np.empty(resamples)
+    for d, child in enumerate(seq.spawn(resamples)):
+        rng = np.random.default_rng(child)
+        u_rand = np.linalg.qr(rng.standard_normal((arr.shape[0], residual_sv.size)))[0]
+        left = np.linalg.norm((svd.U.T @ u_rand) * residual_sv[None, :], 2)
+        bounds[d] = min(1.0, left / svd.S[-1])
+    return float(np.quantile(bounds, quantile, method="higher"))
+
+
+def test_wedin_right_term_decides_at_square_blocks(rng):
+    # At n = p both terms are corners of equally sized Haar frames, so the
+    # right term wins about half the draws and keeping it raises the bound.
+    p = n = 50
+    t_i = 10
+    u = np.linalg.qr(rng.standard_normal((p, t_i)))[0]
+    vt = np.linalg.qr(rng.standard_normal((n, t_i)))[0].T
+    arr = (u * np.linspace(3.0, 2.0, t_i)) @ vt + 0.05 * rng.standard_normal((p, n))
+    svd = truncated_svd(arr, t_i)
+    bound = _wedin_sin_bound(arr, svd, t_i, 200, 0.95, np.random.SeedSequence(8), n)
+    left_only = _reference_left_only(arr, svd, t_i, 200, 0.95, np.random.SeedSequence(8))
+    assert bound > left_only
+
+
+class TestCompressedStack:
+    """Rank policies on a compressed stack against the same policies on the n-wide blocks."""
+
+    # The criterion-4 shape, and one whose compressed width P = 21 is one more
+    # than the first block's p = 20: there a Wedin floor drawn with P in place
+    # of n lets the right (n-side) term decide some draws and moves the bound.
+    @pytest.mark.parametrize("mode", ["null", "wedin"])
+    @pytest.mark.parametrize("dims, ranks", [((20, 20), (5, 5)), ((20, 1), (5, 1))])
+    def test_joint_rank_decision_matches(self, mode, dims, ranks):
+        rng = np.random.default_rng(7_002_000)
+        blocks = [rng.standard_normal((p, 2000)) for p in dims]
+        blocks[1][:1] += 2.0 * blocks[0][:1]
+        plain = select_joint_rank(blocks, ranks, seed=7_007_000, mode=mode)
+        compressed = select_joint_rank(BlockStack(blocks), ranks, seed=7_007_000, mode=mode)
+        assert np.abs(np.array(compressed.spectrum) - plain.spectrum).max() <= 1e-12
+        assert abs(compressed.tau - plain.tau) <= 1e-12
+        assert compressed.joint_rank == plain.joint_rank
+        if mode == "wedin":
+            assert np.abs(np.array(compressed.wedin_sin2) - plain.wedin_sin2).max() <= 1e-12
+
+    def test_signal_ranks_match(self, rng):
+        blocks = [rng.standard_normal((10, 200)) * np.linspace(3, 0.1, 10)[:, None], rng.standard_normal((12, 200))]
+        stack = BlockStack(blocks)
+        for i, block in enumerate(blocks):
+            assert estimate_signal_rank(stack.block(i), energy=0.9) == estimate_signal_rank(block, energy=0.9)
+
+    def test_individual_ranks_match(self):
+        model = make_planted((20, 30), 150, 3, (2, 2), joint_scales=(4.0, 3.6, 3.2),
+                             individual_scales=((3.0, 2.4), (3.0, 2.4)), noise_sigma=0.01, seed=17)
+        stack = BlockStack(model.blocks)
+        initial_vt = truncated_svd(np.vstack(model.blocks), 3).Vt
+        expected = select_individual_ranks(model.blocks, initial_vt, energy=0.95)
+        assert select_individual_ranks(stack, stack.row_basis(3), energy=0.95) == expected
 
 
 class TestSelectIndividualRanks:
