@@ -19,7 +19,6 @@ from embedjive.embed_io import (
 )
 from embedjive.jive import (
     BlockStack,
-    FitDiagnostics,
     JiveConfig,
     JiveResult,
     VarianceReport,
@@ -45,7 +44,6 @@ __all__ = [
     "CompositionSpec",
     "EmbeddingMatrix",
     "EvalResult",
-    "FitDiagnostics",
     "FormatError",
     "JiveConfig",
     "JiveResult",

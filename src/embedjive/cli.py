@@ -15,6 +15,7 @@ import json
 import platform
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from embedjive.compose import (
 )
 from embedjive.embed_io import EmbeddingMatrix, align_vocabularies, parse_embedding, preprocess, write_embedding
 from embedjive.evaluate import evaluate, read_corpus_tsv, train_linear
-from embedjive.jive import BlockStack, JiveConfig, VarianceReport, jive_fit, variance_explained
+from embedjive.jive import BlockStack, JiveConfig, jive_fit, variance_explained
 
 # truncated_svd is unused here but stays importable under this name, which
 # perfbench/traced_cli.py wraps.
@@ -44,12 +45,21 @@ EXIT_NUMERIC = 3
 # Fit invariants checked after every decompose: the residual may not rise by
 # more than this fraction of the stacked blocks' energy between sweeps, and
 # with orthogonality enforced no |J_i A_i'| entry may exceed this fraction of
-# ||X_i||_F^2.
+# ||X_i||_F^2, nor may the three parts' energies miss ||X_i||_F^2 by more.
 RESIDUAL_INCREASE_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-8
 
 MODEL_FILE = "model.json"
+REPORT_FILE = "report.json"
 MANIFEST_FILE = "manifest.json"
+
+# Run-record keys that report.json echoes as its provenance, and those that
+# the decompose manifest echoes as its configuration.
+PROVENANCE_KEYS = (
+    "joint_rank", "individual_ranks", "epsilon", "max_iter", "seed", "tau",
+    "enforce_orthogonality", "converged", "iterations",
+)
+CONFIG_KEYS = ("joint_rank", "individual_ranks", "epsilon", "max_iter", "seed", "enforce_orthogonality")
 
 
 def _sha256(path: Path) -> str:
@@ -150,17 +160,24 @@ def _resolve_ranks(args, stack: BlockStack) -> tuple[int, list[int], RankDecisio
     return joint_rank, individual_ranks, decision
 
 
-def _invariant_violations(result) -> list[str]:
-    problems = []
-    if result.max_residual_increase > RESIDUAL_INCREASE_TOL:
+def _invariant_violations(record: dict) -> list[str]:
+    invariants, problems = record["invariants"], []
+    if invariants["max_residual_increase"] > RESIDUAL_INCREASE_TOL:
         problems.append(
-            f"residual rose by {result.max_residual_increase:.3e} of the total energy"
+            f"residual rose by {invariants['max_residual_increase']:.3e} of the total energy"
             f" (limit {RESIDUAL_INCREASE_TOL:g})"
         )
-    if result.config.enforce_orthogonality and result.orthogonality_deviation > ORTHOGONALITY_TOL:
+    if not record["enforce_orthogonality"]:
+        return problems
+    if invariants["orthogonality_deviation"] > ORTHOGONALITY_TOL:
         problems.append(
-            f"joint/individual orthogonality deviation {result.orthogonality_deviation:.3e}"
+            f"joint/individual orthogonality deviation {invariants['orthogonality_deviation']:.3e}"
             f" (limit {ORTHOGONALITY_TOL:g})"
+        )
+    if invariants["energy_split_deviation"] > ORTHOGONALITY_TOL:
+        problems.append(
+            f"joint + individual + residual energy deviation {invariants['energy_split_deviation']:.3e}"
+            f" of the block energy (limit {ORTHOGONALITY_TOL:g})"
         )
     return problems
 
@@ -173,7 +190,6 @@ def cmd_decompose(args) -> int:
     # Compressed once: the rank policies and every fit sweep reuse it.
     stack = BlockStack(blocks)
     joint_rank, individual_ranks, decision = _resolve_ranks(args, stack)
-    tau = None if decision is None else decision.tau
     if joint_rank == 0 and not any(individual_ranks):
         raise ValueError("empty model: joint rank 0 and all individual ranks 0")
 
@@ -183,7 +199,6 @@ def cmd_decompose(args) -> int:
         epsilon=args.epsilon,
         max_iter=args.max_iter,
         enforce_orthogonality=not args.no_orthogonality,
-        seed=args.seed,
     )
     result = jive_fit(stack, config)
     if result.stop_reason == "max_iter":
@@ -194,63 +209,44 @@ def cmd_decompose(args) -> int:
         )
 
     out_dir = Path(args.out_dir)
+    record, report = _write_model(out_dir, args, input_records, stack, result, decision, align_report.dropped_per_source)
+    print(report_tsv(report_json_dict(report)), end="")
+    print(f"converged={result.converged} iterations={result.iterations} out_dir={out_dir}")
+    violations = _invariant_violations(record)
+    if violations:
+        raise NumericError("fit invariants violated: " + "; ".join(violations))
+    return EXIT_OK
+
+
+def _write_model(out_dir: Path, args, inputs: list[dict], stack: BlockStack, result, decision, n_dropped):
+    """Write the model directory from one run record: the factor files,
+    ``report.json``, ``fit_log.txt``, ``model.json`` (the record itself) and
+    the manifest.  Returns the record and the variance report."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    vocab = stack[0].vocab
     outputs = []
 
-    joint_file = None
-    if result.joint_rank:
-        joint_file = "joint.txt"
-        write_embedding(EmbeddingMatrix(vocab=vocab, data=result.joint_basis, name="joint"), out_dir / joint_file)
-        outputs.append(joint_file)
-    individual_files: list[str | None] = []
-    for i, scores in enumerate(result.individual_scores):
-        if scores.shape[0]:
-            name = f"ind_{i}.txt"
-            write_embedding(EmbeddingMatrix(vocab=vocab, data=scores, name=f"ind_{i}"), out_dir / name)
-            individual_files.append(name)
-            outputs.append(name)
-        else:
-            individual_files.append(None)
+    def factor_file(name: str, scores: np.ndarray) -> str | None:
+        if not scores.shape[0]:
+            return None
+        write_embedding(EmbeddingMatrix(vocab=stack[0].vocab, data=scores, name=name), out_dir / f"{name}.txt")
+        outputs.append(f"{name}.txt")
+        return f"{name}.txt"
 
-    report = variance_explained(result, stack)
-    provenance = {
-        "joint_rank": result.joint_rank,
-        "individual_ranks": result.individual_ranks,
-        "epsilon": config.epsilon,
-        "max_iter": config.max_iter,
-        "seed": config.seed,
-        "tau": tau,
-        "enforce_orthogonality": config.enforce_orthogonality,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "package_version": embedjive.__version__,
-    }
-    write_report(report, out_dir / "report.json", "json", provenance)
-    outputs.append("report.json")
-
-    log_lines = [f"iter=0 R={result.residual_history[0]!r} rel_change=nan"]
-    for t, (residual, rel) in enumerate(
-        zip(result.residual_history[1:], result.diagnostics.relative_changes), start=1
-    ):
-        log_lines.append(f"iter={t} R={residual!r} rel_change={rel!r}")
-    (out_dir / "fit_log.txt").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
-    outputs.append("fit_log.txt")
-
-    sidecar = {
+    config = result.config
+    record = {
         "block_names": result.block_names,
         "block_dims": stack.dims,
         "block_sq_norms": result.block_sq_norms,
-        "n_words": len(vocab),
-        "n_dropped": align_report.dropped_per_source,
+        "n_words": stack.n,
+        "n_dropped": n_dropped,
         "joint_rank": result.joint_rank,
         "individual_ranks": result.individual_ranks,
-        "joint_file": joint_file,
-        "individual_files": individual_files,
+        "joint_file": factor_file("joint", result.joint_basis),
+        "individual_files": [factor_file(f"ind_{i}", h) for i, h in enumerate(result.individual_scores)],
         "epsilon": config.epsilon,
         "max_iter": config.max_iter,
-        "seed": config.seed,
-        "tau": tau,
+        "seed": args.seed,
+        "tau": None if decision is None else decision.tau,
         "rank_decision": None if decision is None else decision.to_json_dict(),
         "enforce_orthogonality": config.enforce_orthogonality,
         "converged": result.converged,
@@ -260,31 +256,25 @@ def cmd_decompose(args) -> int:
         "invariants": {
             "max_residual_increase": result.max_residual_increase,
             "orthogonality_deviation": result.orthogonality_deviation,
+            "energy_split_deviation": result.energy_split_deviation,
         },
-        "variance": report_json_dict(report),
     }
-    (out_dir / MODEL_FILE).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    outputs.append(MODEL_FILE)
 
-    config_echo = {
-        "joint_rank": result.joint_rank,
-        "individual_ranks": result.individual_ranks,
-        "epsilon": config.epsilon,
-        "max_iter": config.max_iter,
-        "seed": config.seed,
-        "enforce_orthogonality": config.enforce_orthogonality,
-        "energy": args.energy,
-        "resamples": args.resamples,
-        "quantile": args.quantile,
-        "rank_mode": args.rank_mode,
-    }
-    _write_manifest(out_dir, "decompose", config_echo, input_records, outputs)
-    print(report_tsv(report), end="")
-    print(f"converged={result.converged} iterations={result.iterations} out_dir={out_dir}")
-    violations = _invariant_violations(result)
-    if violations:
-        raise NumericError("fit invariants violated: " + "; ".join(violations))
-    return EXIT_OK
+    report = variance_explained(result, stack)
+    provenance = {k: record[k] for k in PROVENANCE_KEYS} | {"package_version": embedjive.__version__}
+    write_report(report, out_dir / REPORT_FILE, "json", provenance)
+    history = result.residual_history
+    log_lines = [f"iter=0 R={history[0]!r} rel_change=nan"]
+    for t in range(1, len(history)):
+        log_lines.append(f"iter={t} R={history[t]!r} rel_change={(history[t - 1] - history[t]) / history[t - 1]!r}")
+    (out_dir / "fit_log.txt").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
+    (out_dir / MODEL_FILE).write_text(json.dumps(record, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    outputs += [REPORT_FILE, "fit_log.txt", MODEL_FILE]
+
+    config_echo = {k: record[k] for k in CONFIG_KEYS}
+    config_echo.update(energy=args.energy, resamples=args.resamples, quantile=args.quantile, rank_mode=args.rank_mode)
+    _write_manifest(out_dir, "decompose", config_echo, inputs, outputs)
+    return record, report
 
 
 def cmd_ranks(args) -> int:
@@ -324,41 +314,60 @@ def cmd_ranks(args) -> int:
     return EXIT_OK
 
 
-class _LoadedFactors:
-    """Duck-typed stand-in for a fitted result, rebuilt from decompose output."""
+class _Model(NamedTuple):
+    """A model directory read back: the text of its report and its factors,
+    each ``rank x n_words`` (no rows where no file was written)."""
 
-    def __init__(self, model_dir: Path):
-        sidecar_path = model_dir / MODEL_FILE
-        if not sidecar_path.exists():
-            raise ValueError(f"model sidecar not found: {sidecar_path}")
-        self.sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-        n = self.sidecar["n_words"]
-        self.vocab: list[str] | None = None
-        if self.sidecar["joint_file"]:
-            joint = parse_embedding(model_dir / self.sidecar["joint_file"], "glove-text")
-            self.vocab = joint.vocab
-            self.joint_basis = joint.data
-        else:
-            self.joint_basis = np.zeros((0, n))
-        self.individual_scores = []
-        for name in self.sidecar["individual_files"]:
-            if name is None:
-                self.individual_scores.append(np.zeros((0, n)))
-                continue
-            matrix = parse_embedding(model_dir / name, "glove-text")
-            if self.vocab is None:
-                self.vocab = matrix.vocab
-            elif matrix.vocab != self.vocab:
-                raise ValueError(f"factor file {name} disagrees with the model vocabulary")
-            self.individual_scores.append(matrix.data)
-        if self.vocab is None:
-            raise ValueError(f"model in {model_dir} has no stored factors")
+    report_text: str
+    vocab: list[str]
+    joint_basis: np.ndarray
+    individual_scores: list[np.ndarray]
+
+
+def _read_model(model_dir: Path) -> _Model:
+    """Read a directory written by ``decompose``, checking that ``model.json``
+    names one factor file (or null) per block and that each file holds the
+    recorded rank over the recorded words, with one vocabulary."""
+    path = model_dir / MODEL_FILE
+    if not path.exists():
+        raise ValueError(f"model sidecar not found: {path}")
+    record = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(record, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    n_words, files, ranks = record["n_words"], record["individual_files"], record["individual_ranks"]
+    if not len(files) == len(ranks) == len(record["block_names"]):
+        raise ValueError(
+            f"{path} lists {len(files)} individual factor files and {len(ranks)} ranks"
+            f" for {len(record['block_names'])} blocks"
+        )
+    vocab, factors = None, []
+    for name, rank in [(record["joint_file"], record["joint_rank"]), *zip(files, ranks)]:
+        if name is None:
+            if rank:
+                raise ValueError(f"{path} records rank {rank} for a part without a factor file")
+            factors.append(np.zeros((0, n_words)))
+            continue
+        matrix = parse_embedding(model_dir / name, "glove-text")
+        if (matrix.dim, matrix.n_words) != (rank, n_words):
+            raise ValueError(
+                f"factor file {model_dir / name} holds rank {matrix.dim} over {matrix.n_words} words;"
+                f" {MODEL_FILE} records rank {rank} over {n_words}"
+            )
+        if vocab is None:
+            vocab = matrix.vocab
+        elif matrix.vocab != vocab:
+            raise ValueError(f"factor file {model_dir / name} disagrees with the model vocabulary")
+        factors.append(matrix.data)
+    if vocab is None:
+        raise ValueError(f"model in {model_dir} has no stored factors")
+    report_text = (model_dir / REPORT_FILE).read_text(encoding="utf-8")
+    return _Model(report_text, vocab, factors[0], factors[1:])
 
 
 def cmd_compose(args) -> int:
     model_dir = Path(args.model)
-    factors = _LoadedFactors(model_dir)
-    n_blocks = len(factors.individual_scores)
+    model = _read_model(model_dir)
+    n_blocks = len(model.individual_scores)
     if args.compositions.strip() == "all":
         specs = standard_compositions(n_blocks)
     else:
@@ -369,7 +378,7 @@ def cmd_compose(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for spec in specs:
-        embedding = compose_embedding(factors, spec, factors.vocab)
+        embedding = compose_embedding(model, spec, model.vocab)
         name = f"{spec.name}.txt"
         write_embedding(embedding, out_dir / name, args.format)
         outputs.append(name)
@@ -420,26 +429,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    model_dir = Path(args.model)
-    sidecar_path = model_dir / MODEL_FILE
-    if not sidecar_path.exists():
-        raise ValueError(f"model sidecar not found: {sidecar_path}")
-    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-    variance = sidecar["variance"]
-    report = VarianceReport(
-        block_names=[b["name"] for b in variance["blocks"]],
-        joint_pct=[b["joint_pct"] for b in variance["blocks"]],
-        individual_pct=[b["individual_pct"] for b in variance["blocks"]],
-        residual_pct=[b["residual_pct"] for b in variance["blocks"]],
-        joint_rank=variance["joint_rank"],
-        individual_ranks=[b["individual_rank"] for b in variance["blocks"]],
-    )
+    text = _read_model(Path(args.model)).report_text
     if args.format == "tsv":
-        text = report_tsv(report)
-    else:
-        provenance = {k: sidecar[k] for k in ("epsilon", "seed", "tau", "joint_rank", "individual_ranks")}
-        provenance["package_version"] = embedjive.__version__
-        text = json.dumps(report_json_dict(report, provenance), sort_keys=True, indent=2) + "\n"
+        text = report_tsv(json.loads(text))
     if args.out is None:
         print(text, end="")
     else:

@@ -108,13 +108,14 @@ def report_json_dict(report: VarianceReport, provenance: dict | None = None) -> 
     return payload
 
 
-def report_tsv(report: VarianceReport) -> str:
-    """Tab-separated table with display rounding to one decimal."""
+def report_tsv(payload: dict) -> str:
+    """Tab-separated table of a report dictionary, as :func:`report_json_dict`
+    builds it or ``report.json`` holds it, with display rounding to one decimal."""
     lines = ["block\tjoint_pct\tindiv_pct\tresid_pct\tjoint_rank\tindiv_rank"]
-    for i, name in enumerate(report.block_names):
+    for b in payload["blocks"]:
         lines.append(
-            f"{name}\t{report.joint_pct[i]:.1f}\t{report.individual_pct[i]:.1f}"
-            f"\t{report.residual_pct[i]:.1f}\t{report.joint_rank}\t{report.individual_ranks[i]}"
+            f"{b['name']}\t{b['joint_pct']:.1f}\t{b['individual_pct']:.1f}"
+            f"\t{b['residual_pct']:.1f}\t{payload['joint_rank']}\t{b['individual_rank']}"
         )
     return "\n".join(lines) + "\n"
 
@@ -125,7 +126,7 @@ def write_report(report: VarianceReport, path: str | Path, fmt: str = "tsv", pro
     Output bytes are a deterministic function of the report content.
     """
     if fmt == "tsv":
-        text = report_tsv(report)
+        text = report_tsv(report_json_dict(report))
     elif fmt == "json":
         text = json.dumps(report_json_dict(report, provenance), sort_keys=True, indent=2) + "\n"
     else:

@@ -32,7 +32,7 @@ the only steps that touch the vocabulary axis; each sweep costs O(P^3).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class JiveConfig:
     epsilon: float = 1e-6
     max_iter: int = 500
     enforce_orthogonality: bool = True
-    seed: int | None = None
 
     def validate(self, block_shapes: Sequence[tuple[int, int]]) -> None:
         if self.epsilon <= 0:
@@ -71,12 +70,6 @@ class JiveConfig:
         for i, (r_i, (p, n)) in enumerate(zip(self.individual_ranks, block_shapes)):
             if r_i < 0 or r_i > min(p, n):
                 raise ValueError(f"individual rank {r_i} out of range for block {i} ({p}x{n})")
-
-
-@dataclass
-class FitDiagnostics:
-    relative_changes: list[float]
-    final_residual: float
 
 
 @dataclass
@@ -132,7 +125,6 @@ class JiveResult:
     residual_sq: list[float]
     orthogonality_deviation: float
     config: JiveConfig
-    diagnostics: FitDiagnostics | None = field(default=None, repr=False)
 
     @property
     def n_blocks(self) -> int:
@@ -153,6 +145,14 @@ class JiveResult:
         total = sum(self.block_sq_norms)
         rise = float(np.diff(self.residual_history).max(initial=0.0))
         return rise / total if total else 0.0
+
+    @property
+    def energy_split_deviation(self) -> float:
+        """Largest ``|joint + individual + residual energy - ||X_i||_F^2|``
+        relative to ``||X_i||_F^2`` over the blocks; rounding only, when the
+        three parts are orthogonal."""
+        parts = zip(self.joint_sq, self.individual_sq, self.residual_sq, self.block_sq_norms)
+        return max(abs(j + a + e - x) / (x or 1.0) for j, a, e, x in parts)
 
     def joint_block(self, i: int) -> np.ndarray:
         return self.loadings[i] @ self.joint_basis
@@ -299,7 +299,6 @@ def _run(blocks, config: JiveConfig, run_sweeps: bool) -> JiveResult:
 
     residual_sq = _fro2(x - joint - indiv)
     history = [residual_sq]
-    rel_changes: list[float] = []
     stop_reason = "exact_fit" if residual_sq <= exact_floor else None
     sweeps = 0
 
@@ -322,7 +321,6 @@ def _run(blocks, config: JiveConfig, run_sweeps: bool) -> JiveResult:
                 raise NumericError(f"non-finite residual at iteration {sweeps}")
             rel = (residual_sq - new_sq) / residual_sq
             history.append(new_sq)
-            rel_changes.append(rel)
             residual_sq = new_sq
             if residual_sq <= exact_floor:
                 stop_reason = "exact_fit"
@@ -330,11 +328,10 @@ def _run(blocks, config: JiveConfig, run_sweeps: bool) -> JiveResult:
                 stop_reason = "tolerance"
         stop_reason = stop_reason or "max_iter"
 
-    diagnostics = FitDiagnostics(relative_changes=rel_changes, final_residual=residual_sq)
-    return _extract(stack, joint_source, vt, parts, history, stop_reason, sweeps, config, diagnostics)
+    return _extract(stack, joint_source, vt, parts, history, stop_reason, sweeps, config)
 
 
-def _extract(stack, joint_source, vt, parts, history, stop_reason, sweeps, config, diagnostics):
+def _extract(stack, joint_source, vt, parts, history, stop_reason, sweeps, config):
     r = vt.shape[0]
     if r:
         # Split the stacked joint part C @ vt into orthonormal loadings and
@@ -379,7 +376,6 @@ def _extract(stack, joint_source, vt, parts, history, stop_reason, sweeps, confi
         residual_sq=residual_sq,
         orthogonality_deviation=deviation,
         config=config,
-        diagnostics=diagnostics,
     )
 
 

@@ -100,6 +100,36 @@ class TestDecompose:
         assert log_lines[0].startswith("iter=0 R=")
         assert all("rel_change=" in line for line in log_lines)
 
+    def test_fit_log_follows_residual_history(self, input_files, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_decompose(input_files, out, ["--epsilon", "1e-12"]) == 0
+        capsys.readouterr()
+        model = json.loads((out / "model.json").read_text())
+        lines = (out / "fit_log.txt").read_text().splitlines()
+        assert model["iterations"] >= 2 and len(lines) == model["iterations"] + 1
+        fields = [dict(token.split("=") for token in line.split(" ")) for line in lines]
+        assert [int(f["iter"]) for f in fields] == list(range(len(lines)))
+        history = [float(f["R"]) for f in fields]
+        assert fields[0]["rel_change"] == "nan"
+        for t in range(1, len(history)):
+            assert float(fields[t]["rel_change"]) == (history[t - 1] - history[t]) / history[t - 1]
+        assert history[-1] == model["final_residual"]
+
+    def test_model_json_keys_read_elsewhere(self, input_files, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_decompose(input_files, out) == 0
+        capsys.readouterr()
+        model = json.loads((out / "model.json").read_text())
+        # perfbench/workloads.py reads the first three; tests and the README the rest.
+        assert model["joint_file"] == "joint.txt"
+        assert model["individual_files"] == ["ind_0.txt", "ind_1.txt"]
+        assert model["converged"] is True
+        assert model["tau"] is None and model["rank_decision"] is None
+        assert model["stop_reason"] == "tolerance" and model["iterations"] >= 1
+        assert set(model["invariants"]) == {"max_residual_increase", "orthogonality_deviation", "energy_split_deviation"}
+        assert model["n_words"] == 40
+        assert model["joint_rank"] == 2 and model["individual_ranks"] == [1, 1]
+
     def test_auto_ranks_run(self, input_files, tmp_path, capsys):
         code = main(
             [
@@ -180,6 +210,23 @@ class TestRunContract:
         assert run_decompose(input_files, tmp_path / "literal", ["--no-orthogonality"]) == 0
 
 
+    def test_energy_split_violation_exits_3(self, input_files, tmp_path, capsys, tampered_fit):
+        out = tmp_path / "clean"
+        assert run_decompose(input_files, out) == 0
+        assert json.loads((out / "model.json").read_text())["invariants"]["energy_split_deviation"] <= 1e-12
+
+        def tamper(result):
+            result.residual_sq[1] += 1e-6 * result.block_sq_norms[1]
+
+        tampered_fit(tamper)
+        out = tmp_path / "out"
+        assert run_decompose(input_files, out) == 3
+        assert "energy deviation" in capsys.readouterr().err
+        assert json.loads((out / "model.json").read_text())["invariants"]["energy_split_deviation"] > 1e-8
+        # Without the constraint the parts are not meant to split the energy.
+        assert run_decompose(input_files, tmp_path / "literal", ["--no-orthogonality"]) == 0
+
+
 class TestRanks:
     def test_duplicated_input_selects_signal_rank(self, input_files, capsys):
         code = main(
@@ -252,6 +299,29 @@ class TestCompose:
         assert "model.json" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "tamper, named",
+        [
+            (lambda d: (d / "ind_0.txt").write_bytes((d / "joint.txt").read_bytes()), "ind_0.txt"),
+            (lambda d: (d / "ind_1.txt").write_text("".join((d / "ind_1.txt").read_text().splitlines(True)[:-1])),
+             "ind_1.txt"),
+            (lambda d: (d / "model.json").write_text(
+                json.dumps({**json.loads((d / "model.json").read_text()), "individual_files": ["ind_0.txt"]})),
+             "model.json"),
+            (lambda d: (d / "model.json").write_text("[]"), "model.json"),
+        ],
+        ids=["rank", "word-count", "file-per-block", "not-an-object"],
+    )
+    def test_factor_files_checked_against_model(self, model_dir, tmp_path, capsys, tamper, named):
+        tamper(model_dir)
+        out = tmp_path / "x"
+        assert main(["compose", "--model", str(model_dir), "--compositions", "ind0", "--out-dir", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (out / "ind0.txt").exists()
+        assert main(["report", "--model", str(model_dir)]) == 2
+        assert named in capsys.readouterr().err
+
+
 class TestEval:
     def test_separable_corpus_row(self, tmp_path, capsys):
         corpus, embedding = separable_corpus(seed=23)
@@ -311,6 +381,19 @@ class TestReport:
         stored = json.loads((model_dir / "report.json").read_text())
         emitted = json.loads(out_file.read_text())
         assert emitted["blocks"] == stored["blocks"]
+
+
+    def test_report_re_emits_report_json(self, input_files, tmp_path, capsys):
+        model_dir = tmp_path / "model"
+        run_decompose(input_files, model_dir)
+        table = capsys.readouterr().out.split("converged=")[0]
+        assert main(["report", "--model", str(model_dir), "--format", "json"]) == 0
+        assert capsys.readouterr().out == (model_dir / "report.json").read_text()
+        out_file = tmp_path / "report.json"
+        assert main(["report", "--model", str(model_dir), "--format", "json", "--out", str(out_file)]) == 0
+        assert out_file.read_bytes() == (model_dir / "report.json").read_bytes()
+        assert main(["report", "--model", str(model_dir), "--format", "tsv"]) == 0
+        assert capsys.readouterr().out == table
 
 
 class TestConfigFile:

@@ -171,12 +171,6 @@ class TestFit:
             total = report.joint_pct[i] + report.individual_pct[i] + report.residual_pct[i]
             assert 99.9 <= total <= 100.1
 
-    def test_fit_log_shapes(self, rng):
-        blocks = [rng.standard_normal((5, 30)), rng.standard_normal((6, 30))]
-        result = jive_fit(blocks, JiveConfig(joint_rank=2, individual_ranks=(1, 1), epsilon=1e-7, max_iter=30))
-        assert len(result.diagnostics.relative_changes) == len(result.residual_history) - 1
-        assert result.diagnostics.final_residual == result.residual_history[-1]
-
 
 class TestVarianceExplained:
     def test_pure_joint_is_hundred(self, rng):
