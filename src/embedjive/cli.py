@@ -21,10 +21,10 @@ import numpy as np
 
 import embedjive
 from embedjive.compose import (
-    compose as compose_embedding,
     parse_composition,
     report_json_dict,
     report_tsv,
+    selected_parts,
     standard_compositions,
     valid_part_names,
     write_report,
@@ -315,19 +315,21 @@ def cmd_ranks(args) -> int:
 
 
 class _Model(NamedTuple):
-    """A model directory read back: the text of its report and its factors,
-    each ``rank x n_words`` (no rows where no file was written)."""
+    """A model directory read back: the text of its report and, for the joint
+    part and then each block's individual part, its rank and each word's
+    checked value tokens (``None`` where no file was written)."""
 
     report_text: str
     vocab: list[str]
-    joint_basis: np.ndarray
-    individual_scores: list[np.ndarray]
+    ranks: list[int]
+    value_text: list[list[str] | None]
 
 
 def _read_model(model_dir: Path) -> _Model:
     """Read a directory written by ``decompose``, checking that ``model.json``
     names one factor file (or null) per block and that each file holds the
-    recorded rank over the recorded words, with one vocabulary."""
+    recorded rank of finite numbers over the recorded words, with one
+    vocabulary."""
     path = model_dir / MODEL_FILE
     if not path.exists():
         raise ValueError(f"model sidecar not found: {path}")
@@ -340,14 +342,16 @@ def _read_model(model_dir: Path) -> _Model:
             f"{path} lists {len(files)} individual factor files and {len(ranks)} ranks"
             f" for {len(record['block_names'])} blocks"
         )
-    vocab, factors = None, []
-    for name, rank in [(record["joint_file"], record["joint_rank"]), *zip(files, ranks)]:
+    parts = [(record["joint_file"], record["joint_rank"]), *zip(files, ranks)]
+    vocab, value_text = None, []
+    for name, rank in parts:
         if name is None:
             if rank:
                 raise ValueError(f"{path} records rank {rank} for a part without a factor file")
-            factors.append(np.zeros((0, n_words)))
+            value_text.append(None)
             continue
-        matrix = parse_embedding(model_dir / name, "glove-text")
+        text: list[str] = []
+        matrix = parse_embedding(model_dir / name, "glove-text", value_text=text)
         if (matrix.dim, matrix.n_words) != (rank, n_words):
             raise ValueError(
                 f"factor file {model_dir / name} holds rank {matrix.dim} over {matrix.n_words} words;"
@@ -357,33 +361,44 @@ def _read_model(model_dir: Path) -> _Model:
             vocab = matrix.vocab
         elif matrix.vocab != vocab:
             raise ValueError(f"factor file {model_dir / name} disagrees with the model vocabulary")
-        factors.append(matrix.data)
+        value_text.append(text)
     if vocab is None:
         raise ValueError(f"model in {model_dir} has no stored factors")
     report_text = (model_dir / REPORT_FILE).read_text(encoding="utf-8")
-    return _Model(report_text, vocab, factors[0], factors[1:])
+    return _Model(report_text, vocab, [rank for _, rank in parts], value_text)
 
 
 def cmd_compose(args) -> int:
     model_dir = Path(args.model)
     model = _read_model(model_dir)
-    n_blocks = len(model.individual_scores)
+    n_blocks = len(model.ranks) - 1
     if args.compositions.strip() == "all":
         specs = standard_compositions(n_blocks)
     else:
         specs = [parse_composition(token, n_blocks) for token in args.compositions.split(",") if token.strip()]
     if not specs:
         raise ValueError(f"no compositions requested; valid parts: {', '.join(valid_part_names(n_blocks))}")
+    names = [s.name for s in specs]
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ValueError(f"compositions repeat {', '.join(map(repr, repeated))}")
+    selections = [selected_parts(spec, model.ranks) for spec in specs]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    for spec in specs:
-        embedding = compose_embedding(model, spec, model.vocab)
+    for spec, selected in zip(specs, selections):
+        # A composed line is the word, then each selected factor file's value
+        # tokens for it: the checked text is copied, never formatted again.
+        dim = sum(model.ranks[i] for i in selected)
         name = f"{spec.name}.txt"
-        write_embedding(embedding, out_dir / name, args.format)
+        with (out_dir / name).open("w", encoding="utf-8") as fh:
+            if args.format == "word2vec-text":
+                fh.write(f"{len(model.vocab)} {dim}\n")
+            for line in zip(model.vocab, *(model.value_text[i] for i in selected)):
+                fh.write(" ".join(line) + "\n")
         outputs.append(name)
-        print(f"{name}: {embedding.dim} x {embedding.n_words}")
-    config_echo = {"compositions": [s.name for s in specs], "format": args.format, "model": str(model_dir)}
+        print(f"{name}: {dim} x {len(model.vocab)}")
+    config_echo = {"compositions": names, "format": args.format, "model": str(model_dir)}
     model_record = [{"path": str(model_dir / MODEL_FILE), "sha256": _sha256(model_dir / MODEL_FILE)}]
     _write_manifest(out_dir, "compose", config_echo, model_record, outputs)
     return EXIT_OK

@@ -66,25 +66,34 @@ def standard_compositions(n_blocks: int) -> list[CompositionSpec]:
     return [CompositionSpec(parts=tuple(sel), name="+".join(sel)) for sel in selections]
 
 
+def selected_parts(spec: CompositionSpec, ranks: list[int]) -> list[int]:
+    """Indices into ``ranks`` (joint first, then each block's individual
+    part) of the parts ``spec`` selects, in its order, skipping rank-0 parts;
+    selecting only rank-0 parts is an error."""
+    selected = []
+    for part in spec.parts:
+        if part == JOINT_PART:
+            index = 0
+        else:
+            match = _IND_RE.match(part)
+            if match is None or int(match.group(1)) >= len(ranks) - 1:
+                raise ValueError(f"unknown composition part {part!r}")
+            index = 1 + int(match.group(1))
+        if ranks[index]:
+            selected.append(index)
+    if not selected:
+        raise ValueError(f"empty composition: {spec.name!r} selects only rank-0 components")
+    return selected
+
+
 def compose(result, spec: CompositionSpec, vocab: list[str]) -> EmbeddingMatrix:
     """Stack the selected score matrices into a new embedding.
 
     The output has one row per selected component rank and the vocabulary
     attached unchanged; selecting only rank-0 components is an error.
     """
-    rows = []
-    for part in spec.parts:
-        if part == JOINT_PART:
-            block = result.joint_basis
-        else:
-            match = _IND_RE.match(part)
-            if match is None or int(match.group(1)) >= len(result.individual_scores):
-                raise ValueError(f"unknown composition part {part!r}")
-            block = result.individual_scores[int(match.group(1))]
-        if block.shape[0]:
-            rows.append(block)
-    if not rows:
-        raise ValueError(f"empty composition: {spec.name!r} selects only rank-0 components")
+    parts = [result.joint_basis, *result.individual_scores]
+    rows = [parts[i] for i in selected_parts(spec, [p.shape[0] for p in parts])]
     return EmbeddingMatrix(vocab=list(vocab), data=np.vstack(rows), name=spec.name)
 
 

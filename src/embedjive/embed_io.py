@@ -27,6 +27,14 @@ class FormatError(ValueError):
     """An embedding file violates its declared text format."""
 
 
+class NonFiniteError(ValueError):
+    """An embedding holds a NaN or infinite entry; ``word`` is the first word with one."""
+
+    def __init__(self, message: str, word: str, value: float):
+        super().__init__(message)
+        self.word, self.value = word, value
+
+
 @dataclass(eq=False)
 class EmbeddingMatrix:
     """Dense embedding block with an ordered vocabulary.
@@ -54,7 +62,9 @@ class EmbeddingMatrix:
         if len(self._index) != n:
             raise ValueError(f"{self.name}: vocabulary contains duplicate words")
         if not np.isfinite(self.data).all():
-            raise ValueError(f"{self.name}: non-finite entries in embedding data")
+            j, i = np.argwhere(~np.isfinite(self.data.T))[0]
+            word, value = self.vocab[j], float(self.data[i, j])
+            raise NonFiniteError(f"{self.name}: non-finite value {value!r} for word {word!r}", word, value)
 
     @property
     def dim(self) -> int:
@@ -80,13 +90,19 @@ def _looks_like_header(parts: list[str]) -> bool:
     return len(parts) == 2 and all(t.isdigit() for t in parts)
 
 
-def parse_embedding(path: str | Path, fmt: str = "auto") -> EmbeddingMatrix:
+def parse_embedding(path: str | Path, fmt: str = "auto", *, value_text: list[str] | None = None) -> EmbeddingMatrix:
     """Parse a text embedding file into an :class:`EmbeddingMatrix`.
 
     ``fmt`` is one of ``glove-text``, ``word2vec-text`` or ``auto``; auto
     sniffing treats a two-token all-integer first line as a word2vec header.
     Word order is preserved; on duplicate words the first occurrence wins and
-    the number of skipped repeats is logged.
+    the number of skipped repeats is logged.  A NaN or infinite value is a
+    :class:`FormatError` naming the file and the word.
+
+    If ``value_text`` is a list, each kept word's value tokens, joined by
+    single spaces, are appended to it in vocabulary order: the text that was
+    parsed, for a caller that copies checked values without formatting them
+    again.
     """
     path = Path(path)
     if fmt not in ("auto", *FORMATS):
@@ -132,6 +148,8 @@ def parse_embedding(path: str | Path, fmt: str = "auto") -> EmbeddingMatrix:
             seen.add(word)
             vocab.append(word)
             rows.append(vec)
+            if value_text is not None:
+                value_text.append(" ".join(values))
 
     if not vocab:
         raise FormatError(f"{path}: empty embedding file")
@@ -139,7 +157,10 @@ def parse_embedding(path: str | Path, fmt: str = "auto") -> EmbeddingMatrix:
         logger.warning("%s: skipped %d duplicate words (first occurrence kept)", path, duplicates)
     if declared_words is not None and declared_words != len(vocab) + duplicates:
         logger.warning("%s: header declares %d words, file contains %d", path, declared_words, len(vocab) + duplicates)
-    return EmbeddingMatrix(vocab=vocab, data=np.vstack(rows).T, name=path.stem)
+    try:
+        return EmbeddingMatrix(vocab=vocab, data=np.vstack(rows).T, name=path.stem)
+    except NonFiniteError as exc:
+        raise FormatError(f"{path}: non-finite value {exc.value!r} for word {exc.word!r}") from None
 
 
 def _parses_as_float(token: str) -> bool:

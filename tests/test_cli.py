@@ -1,10 +1,12 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
 import embedjive.cli
 from corpus_util import separable_corpus, write_corpus_tsv
 from embedjive.cli import main
+from embedjive.compose import compose, standard_compositions
 from embedjive.embed_io import EmbeddingMatrix, parse_embedding, write_embedding
 from embedjive.synthetic import make_planted
 
@@ -24,6 +26,14 @@ def input_files(tmp_path):
         write_embedding(emb, path)
         paths.append(str(path))
     return paths
+
+
+def _set_value(path, line_index, token):
+    """Replace the first value on one line of an embedding file with ``token``."""
+    lines = path.read_text().splitlines(True)
+    word, _, *rest = lines[line_index].split()
+    lines[line_index] = " ".join([word, token, *rest]) + "\n"
+    path.write_text("".join(lines))
 
 
 def run_decompose(paths, out_dir, extra=()):
@@ -309,8 +319,10 @@ class TestCompose:
                 json.dumps({**json.loads((d / "model.json").read_text()), "individual_files": ["ind_0.txt"]})),
              "model.json"),
             (lambda d: (d / "model.json").write_text("[]"), "model.json"),
+            (lambda d: _set_value(d / "ind_0.txt", 7, "nan"), "ind_0.txt: non-finite value nan for word 'w007'"),
+            (lambda d: _set_value(d / "joint.txt", 0, "-inf"), "joint.txt: non-finite value -inf for word 'w000'"),
         ],
-        ids=["rank", "word-count", "file-per-block", "not-an-object"],
+        ids=["rank", "word-count", "file-per-block", "not-an-object", "nan", "inf"],
     )
     def test_factor_files_checked_against_model(self, model_dir, tmp_path, capsys, tamper, named):
         tamper(model_dir)
@@ -320,6 +332,44 @@ class TestCompose:
         assert not (out / "ind0.txt").exists()
         assert main(["report", "--model", str(model_dir)]) == 2
         assert named in capsys.readouterr().err
+
+    def test_repeated_composition_rejected(self, model_dir, tmp_path, capsys):
+        out = tmp_path / "x"
+        argv = ["compose", "--model", str(model_dir), "--compositions", "joint,ind0, joint", "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert "repeat 'joint'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["glove-text", "word2vec-text"])
+    def test_splice_matches_numeric_compose(self, model_dir, tmp_path, capsys, fmt):
+        out, reference = tmp_path / "composed", tmp_path / "reference"
+        assert main(["compose", "--model", str(model_dir), "--format", fmt, "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        factors = [parse_embedding(model_dir / f"{name}.txt", "glove-text") for name in ("joint", "ind_0", "ind_1")]
+        result = SimpleNamespace(joint_basis=factors[0].data, individual_scores=[f.data for f in factors[1:]])
+        reference.mkdir()
+        specs = standard_compositions(2)
+        assert len(specs) == 7
+        for spec in specs:
+            composed = compose(result, spec, factors[0].vocab)
+            write_embedding(composed, reference / f"{spec.name}.txt", fmt)
+            spliced = out / f"{spec.name}.txt"
+            assert spliced.read_bytes() == (reference / f"{spec.name}.txt").read_bytes(), spec.name
+            parsed = parse_embedding(spliced, "auto")
+            assert (parsed.n_words, parsed.dim) == (40, composed.dim)
+            if fmt == "word2vec-text":
+                assert spliced.read_text().splitlines()[0] == f"40 {composed.dim}"
+
+    def test_rank_0_parts(self, input_files, tmp_path, capsys):
+        model_dir, out = tmp_path / "model", tmp_path / "composed"
+        assert run_decompose(input_files, model_dir, ["--individual-ranks", "1,0"]) == 0
+        assert json.loads((model_dir / "model.json").read_text())["individual_files"] == ["ind_0.txt", None]
+        capsys.readouterr()
+        assert main(["compose", "--model", str(model_dir), "--compositions", "ind1", "--out-dir", str(out)]) == 2
+        assert "empty composition" in capsys.readouterr().err
+        argv = ["compose", "--model", str(model_dir), "--compositions", "joint,joint+ind1", "--out-dir", str(out)]
+        assert main(argv) == 0
+        assert (out / "joint+ind1.txt").read_bytes() == (out / "joint.txt").read_bytes()
 
 
 class TestEval:

@@ -52,6 +52,19 @@ class TestParse:
         with pytest.raises(FormatError, match="empty"):
             parse_embedding(_write(tmp_path, ""), "glove-text")
 
+    @pytest.mark.parametrize("token, shown", [("nan", "nan"), ("-Infinity", "-inf"), ("1e999", "inf")])
+    def test_non_finite_value_names_file_and_word(self, tmp_path, token, shown):
+        path = _write(tmp_path, f"a 1.0 2.0\nb 3.0 {token}\n")
+        with pytest.raises(FormatError, match=rf"non-finite value {shown} for word 'b'") as info:
+            parse_embedding(path, "glove-text")
+        assert str(path) in str(info.value)
+
+    def test_value_text_follows_vocabulary(self, tmp_path):
+        text = []
+        m = parse_embedding(_write(tmp_path, "2 2\na\t1.0  2e0\na 5 5\nb -0 3\n"), "auto", value_text=text)
+        assert m.vocab == ["a", "b"]
+        assert text == ["1.0 2e0", "-0 3"]
+
     def test_duplicate_first_wins(self, tmp_path, caplog):
         with caplog.at_level("WARNING"):
             m = parse_embedding(_write(tmp_path, "a 1 1\na 2 2\nb 3 3\n"), "glove-text")
