@@ -26,7 +26,7 @@ from embedjive.jive import (
     jive_init,
     variance_explained,
 )
-from embedjive.linalg import NumericError, TruncatedSVD, low_rank_approx, project_rows_off, truncated_svd
+from embedjive.linalg import NumericError, TruncatedSVD, project_rows_off, truncated_svd
 from embedjive.rank_select import (
     RankDecision,
     estimate_signal_rank,
@@ -60,7 +60,6 @@ __all__ = [
     "featurize",
     "jive_fit",
     "jive_init",
-    "low_rank_approx",
     "parse_embedding",
     "preprocess",
     "project_rows_off",

@@ -60,6 +60,8 @@ PROVENANCE_KEYS = (
     "enforce_orthogonality", "converged", "iterations",
 )
 CONFIG_KEYS = ("joint_rank", "individual_ranks", "epsilon", "max_iter", "seed", "enforce_orthogonality")
+# Run-record keys that compose and report read back.
+MODEL_KEYS = ("block_names", "n_words", "joint_file", "joint_rank", "individual_files", "individual_ranks")
 
 
 def _sha256(path: Path) -> str:
@@ -136,12 +138,13 @@ def _prepared_blocks(matrices: list[EmbeddingMatrix]):
 
 
 def _resolve_ranks(args, stack: BlockStack) -> tuple[int, list[int], RankDecision | None]:
+    """Pinned ranks as given; an auto individual rank is the block's signal
+    rank minus the joint rank, from the rank decision when there is one."""
     decision = None
     if args.joint_rank == "auto":
-        signal_ranks = [estimate_signal_rank(stack.block(i), energy=args.energy) for i in range(len(stack))]
         decision = select_joint_rank(
             stack,
-            signal_ranks,
+            _signal_ranks(stack, args.energy),
             resamples=args.resamples,
             quantile=args.quantile,
             seed=args.seed,
@@ -153,11 +156,17 @@ def _resolve_ranks(args, stack: BlockStack) -> tuple[int, list[int], RankDecisio
             joint_rank = int(args.joint_rank)
         except ValueError:
             raise ValueError(f"--joint-rank must be an integer or 'auto', got {args.joint_rank!r}") from None
-    if args.individual_ranks == "auto":
-        individual_ranks = select_individual_ranks(stack, stack.row_basis(joint_rank), energy=args.energy)
-    else:
+    if args.individual_ranks != "auto":
         individual_ranks = _rank_list(args.individual_ranks, len(stack), "--individual-ranks")
+    elif decision is not None:
+        individual_ranks = decision.individual_ranks
+    else:
+        individual_ranks = select_individual_ranks(_signal_ranks(stack, args.energy), joint_rank)
     return joint_rank, individual_ranks, decision
+
+
+def _signal_ranks(stack: BlockStack, energy: float) -> list[int]:
+    return [estimate_signal_rank(stack.block(i), energy=energy) for i in range(len(stack))]
 
 
 def _invariant_violations(record: dict) -> list[str]:
@@ -282,12 +291,13 @@ def cmd_ranks(args) -> int:
         raise ValueError("ranks needs at least 2 --input embeddings")
     matrices, input_records = _load_inputs(args.input)
     blocks, _ = _prepared_blocks(matrices)
+    stack = BlockStack(blocks)
     if args.signal_ranks == "auto":
-        signal_ranks = [estimate_signal_rank(b, energy=args.energy) for b in blocks]
+        signal_ranks = _signal_ranks(stack, args.energy)
     else:
-        signal_ranks = _rank_list(args.signal_ranks, len(blocks), "--signal-ranks")
+        signal_ranks = _rank_list(args.signal_ranks, len(stack), "--signal-ranks")
     decision = select_joint_rank(
-        blocks,
+        stack,
         signal_ranks,
         resamples=args.resamples,
         quantile=args.quantile,
@@ -295,7 +305,7 @@ def cmd_ranks(args) -> int:
         mode=args.rank_mode,
     )
     payload = decision.to_json_dict()
-    payload["block_names"] = [b.name for b in blocks]
+    payload["block_names"] = stack.names
     text = json.dumps(payload, sort_keys=True, indent=2)
     print(text)
     if args.out_dir is not None:
@@ -336,6 +346,9 @@ def _read_model(model_dir: Path) -> _Model:
     record = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(record, dict):
         raise ValueError(f"{path} must hold a JSON object")
+    missing = [k for k in MODEL_KEYS if k not in record]
+    if missing:
+        raise ValueError(f"{path} is missing {', '.join(map(repr, missing))}")
     n_words, files, ranks = record["n_words"], record["individual_files"], record["individual_ranks"]
     if not len(files) == len(ranks) == len(record["block_names"]):
         raise ValueError(
@@ -465,7 +478,7 @@ def _add_input_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_rank_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--energy", type=float, default=0.95, help="energy fraction for auto rank policies")
+    parser.add_argument("--energy", type=float, default=0.95, help="energy fraction for each block's auto signal rank")
     parser.add_argument("--resamples", type=_positive_int, default=100, help="random draws for the selection null")
     parser.add_argument("--quantile", type=float, default=0.95, help="null quantile for the selection threshold")
     parser.add_argument("--rank-mode", choices=("wedin", "null"), default="wedin", help="joint-rank threshold rule")

@@ -171,9 +171,20 @@ class BlockStack(Sequence):
     """
 
     def __init__(self, blocks):
-        items, arrays, self.names = _validated_blocks(blocks)
-        self._items = [b if isinstance(b, EmbeddingMatrix) else arr for b, arr in zip(items, arrays)]
+        items = list(blocks)
+        pairs = [self.checked_block(block, i) for i, block in enumerate(items)]
+        if len(pairs) < 2:
+            raise ValueError("need at least 2 blocks")
+        arrays = [arr for arr, _ in pairs]
+        self.names = [name for _, name in pairs]
         self.n = arrays[0].shape[1]
+        for i, arr in enumerate(arrays):
+            if arr.shape[1] != self.n:
+                raise ValueError(f"block {i} has {arr.shape[1]} columns, expected {self.n}")
+        vocabs = [b.vocab for b in items if isinstance(b, EmbeddingMatrix)]
+        if len(vocabs) == len(items) and any(v != vocabs[0] for v in vocabs[1:]):
+            raise ValueError("blocks have mismatched vocabularies; align them first")
+        self._items = [b if isinstance(b, EmbeddingMatrix) else arr for b, arr in zip(items, arrays)]
         self.dims = [arr.shape[0] for arr in arrays]
         offsets = np.cumsum([0, *self.dims])
         self.slices = [slice(offsets[i], offsets[i + 1]) for i in range(len(self.dims))]
@@ -217,29 +228,6 @@ class BlockStack(Sequence):
     def lift(self, rows: np.ndarray) -> np.ndarray:
         """Rows given in compressed coordinates, as rows over the n words."""
         return rows @ self._q.T
-
-    def row_basis(self, rank: int) -> np.ndarray:
-        """Orthonormal rows spanning the top-``rank`` row space of the stacked
-        blocks, in compressed coordinates: the joint space a fit starts from."""
-        return _row_basis(self.stacked, rank)
-
-
-def _validated_blocks(blocks) -> tuple[list, list[np.ndarray], list[str]]:
-    """The blocks as given, as finite 2-D float arrays, and their names;
-    raises unless there are at least 2 over one vocabulary."""
-    items = list(blocks)
-    pairs = [BlockStack.checked_block(block, i) for i, block in enumerate(items)]
-    if len(pairs) < 2:
-        raise ValueError("need at least 2 blocks")
-    arrays = [arr for arr, _ in pairs]
-    n = arrays[0].shape[1]
-    for i, arr in enumerate(arrays):
-        if arr.shape[1] != n:
-            raise ValueError(f"block {i} has {arr.shape[1]} columns, expected {n}")
-    vocabs = [b.vocab for b in items if isinstance(b, EmbeddingMatrix)]
-    if len(vocabs) == len(items) and any(v != vocabs[0] for v in vocabs[1:]):
-        raise ValueError("blocks have mismatched vocabularies; align them first")
-    return items, arrays, [name for _, name in pairs]
 
 
 def _fro2(m: np.ndarray) -> float:
@@ -291,7 +279,7 @@ def _run(blocks, config: JiveConfig, run_sweeps: bool) -> JiveResult:
     ranks = [int(r) for r in config.individual_ranks]
     exact_floor = EXACT_FIT_REL_TOL * sum(stack.sq_norms)
 
-    vt = stack.row_basis(config.joint_rank)
+    vt = _row_basis(x, config.joint_rank)
     joint_source = x
     joint = _rows_onto(joint_source, vt)
     parts = [_individual_factors(stack.block(i) - joint[s], ranks[i]) for i, s in enumerate(stack.slices)]

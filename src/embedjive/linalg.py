@@ -1,10 +1,12 @@
-"""Dense low-rank kernels built on the small-side Gram matrix.
+"""Dense low-rank kernels.
 
 Embedding blocks are short and wide (features p up to a few hundred,
-vocabulary n up to hundreds of thousands), so the SVD of a ``p x n`` matrix is
-computed from the ``p x p`` Gram matrix: O(p^2 n + p^3) work and never any
-``n x n`` intermediate.  All arithmetic is double precision and sequential
-execution is run-to-run deterministic.
+vocabulary n up to hundreds of thousands), so the truncated SVD of a
+``p x n`` matrix is computed from the ``p x p`` Gram matrix: O(p^2 n + p^3)
+work and never any ``n x n`` intermediate.  ``singular_values`` calls LAPACK
+directly: the package passes it compressed blocks, at most P columns wide.
+All arithmetic is double precision and sequential execution is run-to-run
+deterministic.
 """
 
 from __future__ import annotations
@@ -63,23 +65,10 @@ def truncated_svd(matrix, k: int) -> TruncatedSVD:
     return TruncatedSVD(U=u, S=s, Vt=vt)
 
 
-def low_rank_approx(matrix, k: int) -> np.ndarray:
-    """Best rank-``k`` Frobenius approximation; ``k = 0`` gives the zero matrix."""
-    m = _checked_matrix(matrix)
-    if k == 0:
-        return np.zeros_like(m)
-    return truncated_svd(m, k).compose()
-
-
 def singular_values(matrix) -> np.ndarray:
-    """All ``min(p, n)`` singular values, descending."""
-    m = _checked_matrix(matrix)
-    if m.shape[0] > m.shape[1]:
-        m = m.T
-    gram = m @ m.T
-    gram = (gram + gram.T) * 0.5
-    evals = np.linalg.eigvalsh(gram)
-    return np.sqrt(np.clip(evals[::-1], 0.0, None))
+    """All ``min(p, n)`` singular values, descending, from LAPACK: accurate to
+    rounding relative to the largest, with no Gram-trick floor."""
+    return np.linalg.svd(_checked_matrix(matrix), compute_uv=False)
 
 
 def project_rows_off(matrix, vt) -> np.ndarray:

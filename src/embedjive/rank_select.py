@@ -22,6 +22,10 @@ n x m frame (Feng et al., "Angle-based joint and individual variation
 explained", JMVA 2018), drawn from t Gaussian rows plus the Bartlett factor
 of the remaining n - t.  A draw costs O(T^3) and O(p m^2), not O(n T^2).
 
+Each block's individual rank is its signal rank minus the joint rank, the
+rule of the same AJIVE paper: no second energy rule runs on the leftover
+after the joint space is projected off, which is mostly noise.
+
 The exact thresholding recipe is an implementation choice of this package;
 ``RankDecision.method`` records which rule produced a decision so downstream
 reports stay self-describing.
@@ -33,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from embedjive.jive import BlockStack, _validated_blocks
-from embedjive.linalg import project_rows_off, singular_values, truncated_svd
+from embedjive.jive import BlockStack
+from embedjive.linalg import singular_values, truncated_svd
 
 
 @dataclass
@@ -50,15 +54,15 @@ class RankDecision:
     resamples: int
     quantile: float
     seed: int
+    individual_ranks: list[int]
     tau_wedin: float | None = None
     wedin_sin2: list[float] | None = None
-    individual_ranks: list[int] | None = None
 
     def to_json_dict(self) -> dict:
         return {
             "joint_rank": self.joint_rank,
             "signal_ranks": list(self.signal_ranks),
-            "individual_ranks": None if self.individual_ranks is None else list(self.individual_ranks),
+            "individual_ranks": list(self.individual_ranks),
             "tau": self.tau,
             "tau_null": self.tau_null,
             "tau_wedin": self.tau_wedin,
@@ -107,11 +111,13 @@ def select_joint_rank(
     Carlo null alone.  Deterministic given ``seed``: the random stream is
     partitioned per draw, so results do not depend on evaluation order.
 
-    ``blocks`` is a list of blocks or a :class:`BlockStack`.  A stack gives
-    the same spectrum from its compressed blocks; the samplers and the
-    ``sum(signal ranks) <= n`` check still use the vocabulary size n.
+    ``blocks`` is a :class:`BlockStack`, or a list that is compressed first.
+    The spectrum is read off the compressed blocks; the samplers and the
+    ``sum(signal ranks) <= n`` check use the vocabulary size n.  The
+    decision's individual ranks follow :func:`select_individual_ranks`.
     """
-    arrays, n = _policy_blocks(blocks)
+    stack = BlockStack.of(blocks)
+    arrays, n = [stack.block(i) for i in range(len(stack))], stack.n
     k_blocks = len(arrays)
     t = [int(v) for v in signal_ranks]
     if len(t) != k_blocks:
@@ -165,50 +171,15 @@ def select_joint_rank(
         resamples=resamples,
         quantile=quantile,
         seed=seed,
+        individual_ranks=select_individual_ranks(t, joint_rank),
     )
 
 
-def select_individual_ranks(blocks, joint_vt, explicit=None, energy: float = 0.95) -> list[int]:
-    """Individual ranks: an explicit list passed through, or per block the
-    smallest rank capturing ``energy`` of the block's leftover after
-    projecting off the joint row space.
-
-    ``joint_vt`` holds orthonormal rows in the coordinates of ``blocks``:
-    over the words for a list, compressed for a :class:`BlockStack` (see
-    :meth:`BlockStack.row_basis`)."""
-    arrays, _ = _policy_blocks(blocks)
-    if explicit is not None:
-        if len(explicit) != len(arrays):
-            raise ValueError(f"{len(explicit)} individual ranks for {len(arrays)} blocks")
-        ranks = [int(r) for r in explicit]
-        for i, (r, arr) in enumerate(zip(ranks, arrays)):
-            if r < 0 or r > min(arr.shape):
-                raise ValueError(f"individual rank {r} out of range for block {i}")
-        return ranks
-    if not 0 < energy <= 1:
-        raise ValueError(f"energy fraction must be in (0, 1], got {energy}")
-    ranks = []
-    for arr in arrays:
-        leftover = project_rows_off(arr, joint_vt)
-        leftover_sq = float(np.vdot(leftover, leftover).real)
-        if leftover_sq <= 1e-20 * float(np.vdot(arr, arr).real):
-            ranks.append(0)
-            continue
-        sq = singular_values(leftover) ** 2
-        cumulative = np.cumsum(sq) / leftover_sq
-        ranks.append(int(np.searchsorted(cumulative, energy - 1e-12)) + 1)
-    return ranks
-
-
-def _policy_blocks(blocks) -> tuple[list[np.ndarray], int]:
-    """The blocks in the coordinates the policies run in, and the vocabulary
-    size n: a stack's compressed blocks, or a list's validated word-wide
-    arrays.  A compressed block is p_i x min(P, n), so ``min(shape)`` is
-    ``min(p_i, n)`` in either form."""
-    if isinstance(blocks, BlockStack):
-        return [blocks.block(i) for i in range(len(blocks))], blocks.n
-    _, arrays, _ = _validated_blocks(blocks)
-    return arrays, arrays[0].shape[1]
+def select_individual_ranks(signal_ranks, joint_rank: int) -> list[int]:
+    """Individual ranks read off the signal ranks: ``max(t_i - r, 0)`` per
+    block, which is AJIVE's rule when each block's signal space contains the
+    joint space."""
+    return [max(int(t_i) - int(joint_rank), 0) for t_i in signal_ranks]
 
 
 def _bartlett(rng: np.random.Generator, rows: int, cols: int, dof: int) -> np.ndarray:

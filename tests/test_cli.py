@@ -1,6 +1,7 @@
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import embedjive.cli
@@ -34,6 +35,39 @@ def _set_value(path, line_index, token):
     word, _, *rest = lines[line_index].split()
     lines[line_index] = " ".join([word, token, *rest]) + "\n"
     path.write_text("".join(lines))
+
+
+def _drop_key(model_dir, key):
+    record = json.loads((model_dir / "model.json").read_text())
+    del record[key]
+    (model_dir / "model.json").write_text(json.dumps(record))
+
+
+def planted_inputs(tmp_path, dims, n, joint_rank, individual_ranks, seed):
+    """Embedding files with planted ranks whose noise puts the default 95%
+    signal-rank cut in the middle of each block's weakest component, so the
+    signal ranks are the planted joint plus individual ranks."""
+    rng = np.random.default_rng(seed)
+    # Rows orthogonal to the all-ones direction, so centering leaves the signal.
+    frame = np.hstack([np.ones((n, 1)), rng.standard_normal((n, joint_rank + sum(individual_ranks)))])
+    rows = np.linalg.qr(frame)[0].T[1:]
+    joint, rest = rows[:joint_rank], rows[joint_rank:]
+    vocab = [f"w{i:04d}" for i in range(n)]
+    paths = []
+    for i, (p, r) in enumerate(zip(dims, individual_ranks)):
+        own, rest = rest[:r], rest[r:]
+        sv = np.concatenate([np.linspace(1.0, 0.9, joint_rank), np.linspace(0.85, 0.75, r)])
+        loadings = np.linalg.qr(rng.standard_normal((p, sv.size)))[0]
+        sq = sv**2
+        # Noise spreads evenly over the p directions, sv.size of which the
+        # top signal directions absorb.
+        noise_sq = (0.05 * sq.sum() - sq[-1] / 2) / (0.95 - (sv.size - 0.5) / p)
+        noise = rng.standard_normal((p, n))
+        block = loadings @ (sv[:, None] * np.vstack([joint, own])) + noise * np.sqrt(noise_sq / np.vdot(noise, noise))
+        path = tmp_path / f"planted{i}.txt"
+        write_embedding(EmbeddingMatrix(vocab=vocab, data=block, name=f"planted{i}"), path)
+        paths.append(str(path))
+    return paths
 
 
 def run_decompose(paths, out_dir, extra=()):
@@ -172,6 +206,20 @@ class TestDecompose:
         assert run_decompose(input_files, pinned) == 0
         capsys.readouterr()
         assert json.loads((pinned / "model.json").read_text())["rank_decision"] is None
+        assert decision["individual_ranks"] == sidecar["individual_ranks"]
+
+    def test_auto_ranks_recover_planted(self, tmp_path, capsys):
+        # The individual ranks are the signal ranks minus the joint rank.  A
+        # second energy rule on the leftover after the joint space is
+        # projected off picked (11, 13) here and needed hundreds of sweeps.
+        paths = planted_inputs(tmp_path, (24, 30), 400, 8, (4, 6), seed=1)
+        out = tmp_path / "out"
+        assert main(["decompose", "--input", paths[0], "--input", paths[1], "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        model = json.loads((out / "model.json").read_text())
+        assert model["rank_decision"]["signal_ranks"] == [12, 14]
+        assert model["joint_rank"] == 8 and model["individual_ranks"] == [4, 6]
+        assert model["stop_reason"] == "tolerance"
 
 
 class TestRunContract:
@@ -321,8 +369,10 @@ class TestCompose:
             (lambda d: (d / "model.json").write_text("[]"), "model.json"),
             (lambda d: _set_value(d / "ind_0.txt", 7, "nan"), "ind_0.txt: non-finite value nan for word 'w007'"),
             (lambda d: _set_value(d / "joint.txt", 0, "-inf"), "joint.txt: non-finite value -inf for word 'w000'"),
+            (lambda d: _drop_key(d, "n_words"), "model.json is missing 'n_words'"),
+            (lambda d: _drop_key(d, "individual_files"), "model.json is missing 'individual_files'"),
         ],
-        ids=["rank", "word-count", "file-per-block", "not-an-object", "nan", "inf"],
+        ids=["rank", "word-count", "file-per-block", "not-an-object", "nan", "inf", "no-n-words", "no-individual-files"],
     )
     def test_factor_files_checked_against_model(self, model_dir, tmp_path, capsys, tamper, named):
         tamper(model_dir)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from embedjive.linalg import (
     NumericError,
-    low_rank_approx,
     principal_angle_sines,
     project_rows_off,
     singular_values,
@@ -98,24 +97,20 @@ class TestTruncatedSVD:
 
 
 class TestLowRankApprox:
-    def test_rank_zero(self, rng):
-        m = rng.standard_normal((4, 7))
-        np.testing.assert_array_equal(low_rank_approx(m, 0), np.zeros_like(m))
-
     def test_exact_rank_recovery(self, rng):
         m = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 20))
-        assert np.abs(low_rank_approx(m, 2) - m).max() <= 1e-10
+        assert np.abs(truncated_svd(m, 2).compose() - m).max() <= 1e-10
 
     def test_tail_energy_against_svd_oracle(self, rng):
         m = rng.standard_normal((10, 30))
-        approx = low_rank_approx(m, 3)
+        approx = truncated_svd(m, 3).compose()
         tail = np.linalg.svd(m, compute_uv=False)[3:]
         assert abs(np.sum((m - approx) ** 2) - np.sum(tail**2)) <= 1e-9
 
     def test_eckart_young(self, rng):
         m = rng.standard_normal((8, 25))
         for k in (1, 3, 6):
-            best = np.linalg.norm(m - low_rank_approx(m, k))
+            best = np.linalg.norm(m - truncated_svd(m, k).compose())
             for _ in range(20):
                 competitor = rng.standard_normal((8, k)) @ rng.standard_normal((k, 25))
                 assert best <= np.linalg.norm(m - competitor) + 1e-12
@@ -166,6 +161,17 @@ def test_singular_values_permutation_invariant(seed, p, n):
     m = rng.standard_normal((p, n))
     permuted = m[:, rng.permutation(n)]
     np.testing.assert_allclose(singular_values(m), singular_values(permuted), atol=1e-10)
+
+
+def test_singular_values_resolve_small_values(rng):
+    # The Gram route squares the values, so anything below sqrt(eps) of the
+    # largest came back as 0 or with a relative error of 1e-5.
+    s = np.array([1.0, 0.5, 1e-6, 1e-10])
+    u = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    vt = np.linalg.qr(rng.standard_normal((30, 4)))[0].T
+    sv = singular_values((u * s) @ vt)
+    assert np.abs(sv - s).max() <= 1e-14
+    assert abs(sv[-1] - 1e-10) <= 1e-4 * 1e-10
 
 
 def test_principal_angle_sines(rng):

@@ -186,9 +186,10 @@ class TestSamplersMatchExplicitDraws:
             shapes.append(np.shape(a))
             return plain_qr(a, *args, **kwargs)
 
+        # The stack's one compression QR is n rows tall; the samplers' are not.
+        stack = BlockStack([rng.standard_normal((8, n)), rng.standard_normal((10, n))])
         monkeypatch.setattr(np.linalg, "qr", spy)
-        blocks = [rng.standard_normal((8, n)), rng.standard_normal((10, n))]
-        select_joint_rank(blocks, (3, 3), resamples=20, seed=0, mode=mode)
+        select_joint_rank(stack, (3, 3), resamples=20, seed=0, mode=mode)
         assert shapes
         assert all(shape[0] != n for shape in shapes)
 
@@ -226,8 +227,28 @@ def test_wedin_right_term_decides_at_square_blocks(rng):
     assert bound > left_only
 
 
+def _word_wide_decision(blocks, ranks, seed, mode, resamples=100, quantile=0.95):
+    """``select_joint_rank``'s spectrum, threshold and Wedin sines computed
+    from the module's helpers on the n-wide blocks, on the same spawned seeds."""
+    n, k = blocks[0].shape[1], len(blocks)
+    svds = [truncated_svd(b, t) for b, t in zip(blocks, ranks)]
+    stacked = np.hstack([svd.Vt.T for svd in svds])
+    spectrum = np.clip(np.linalg.eigvalsh(stacked.T @ stacked)[::-1], 0.0, None)
+    null_seq, *block_seqs = np.random.SeedSequence(seed).spawn(1 + k)
+    tau = float(np.quantile(_null_spectrum_max(n, list(ranks), resamples, null_seq), quantile, method="higher"))
+    wedin_sin2 = None
+    if mode == "wedin":
+        wedin_sin2 = [
+            _wedin_sin_bound(b, svd, t, resamples, quantile, seq, n) ** 2
+            for b, svd, t, seq in zip(blocks, svds, ranks, block_seqs)
+        ]
+        tau = max(tau, k - sum(wedin_sin2))
+    tau = min(tau, k * (1.0 - 1e-12))
+    return spectrum, tau, min(int((spectrum > tau).sum()), min(ranks)), wedin_sin2
+
+
 class TestCompressedStack:
-    """Rank policies on a compressed stack against the same policies on the n-wide blocks."""
+    """Rank policies on a compressed stack against the same computations on the n-wide blocks."""
 
     # The criterion-4 shape, and one whose compressed width P = 21 is one more
     # than the first block's p = 20: there a Wedin floor drawn with P in place
@@ -238,13 +259,13 @@ class TestCompressedStack:
         rng = np.random.default_rng(7_002_000)
         blocks = [rng.standard_normal((p, 2000)) for p in dims]
         blocks[1][:1] += 2.0 * blocks[0][:1]
-        plain = select_joint_rank(blocks, ranks, seed=7_007_000, mode=mode)
+        spectrum, tau, joint_rank, wedin_sin2 = _word_wide_decision(blocks, ranks, 7_007_000, mode)
         compressed = select_joint_rank(BlockStack(blocks), ranks, seed=7_007_000, mode=mode)
-        assert np.abs(np.array(compressed.spectrum) - plain.spectrum).max() <= 1e-12
-        assert abs(compressed.tau - plain.tau) <= 1e-12
-        assert compressed.joint_rank == plain.joint_rank
+        assert np.abs(np.array(compressed.spectrum) - spectrum).max() <= 1e-12
+        assert abs(compressed.tau - tau) <= 1e-12
+        assert compressed.joint_rank == joint_rank
         if mode == "wedin":
-            assert np.abs(np.array(compressed.wedin_sin2) - plain.wedin_sin2).max() <= 1e-12
+            assert np.abs(np.array(compressed.wedin_sin2) - wedin_sin2).max() <= 1e-12
 
     def test_signal_ranks_match(self, rng):
         blocks = [rng.standard_normal((10, 200)) * np.linspace(3, 0.1, 10)[:, None], rng.standard_normal((12, 200))]
@@ -252,34 +273,30 @@ class TestCompressedStack:
         for i, block in enumerate(blocks):
             assert estimate_signal_rank(stack.block(i), energy=0.9) == estimate_signal_rank(block, energy=0.9)
 
-    def test_individual_ranks_match(self):
-        model = make_planted((20, 30), 150, 3, (2, 2), joint_scales=(4.0, 3.6, 3.2),
-                             individual_scales=((3.0, 2.4), (3.0, 2.4)), noise_sigma=0.01, seed=17)
-        stack = BlockStack(model.blocks)
-        initial_vt = truncated_svd(np.vstack(model.blocks), 3).Vt
-        expected = select_individual_ranks(model.blocks, initial_vt, energy=0.95)
-        assert select_individual_ranks(stack, stack.row_basis(3), energy=0.95) == expected
-
 
 class TestSelectIndividualRanks:
-    def test_block_inside_joint_space(self, rng):
-        vt = np.linalg.qr(rng.standard_normal((80, 3)))[0].T
-        inside = rng.standard_normal((5, 3)) @ vt
-        other = rng.standard_normal((6, 80))
-        assert select_individual_ranks([inside, other], vt)[0] == 0
+    def test_signal_rank_minus_joint_rank(self):
+        assert select_individual_ranks([30, 40, 35], 20) == [10, 20, 15]
+        assert select_individual_ranks((7, 9), 0) == [7, 9]
 
-    def test_explicit_passthrough(self, rng):
-        blocks = [rng.standard_normal((8, 40)), rng.standard_normal((10, 40))]
-        assert select_individual_ranks(blocks, np.zeros((0, 40)), explicit=[7, 9]) == [7, 9]
+    def test_block_inside_joint_space(self):
+        # A block whose signal space is the joint space has no individual part,
+        # and a pinned joint rank above a signal rank does not go negative.
+        assert select_individual_ranks([3, 5], 3) == [0, 2]
+        assert select_individual_ranks([3, 5], 4) == [0, 1]
 
-    def test_explicit_wrong_length(self, rng):
-        blocks = [rng.standard_normal((8, 40)), rng.standard_normal((10, 40))]
-        with pytest.raises(ValueError, match="individual ranks"):
-            select_individual_ranks(blocks, np.zeros((0, 40)), explicit=[7])
+    def test_decision_carries_the_rule(self, rng):
+        # Three shared directions; signal ranks above 3 leave the rest individual.
+        b1, b2 = _shared_subspace_blocks(rng)
+        decision = select_joint_rank([b1 + 0.05 * rng.standard_normal(b1.shape), b2], (5, 4), seed=7)
+        assert (decision.joint_rank, decision.individual_ranks) == (3, [2, 1])
+        assert decision.to_json_dict()["individual_ranks"] == [2, 1]
 
     def test_planted_ranks_recovered(self):
         # Individual scales sized so the sigma=0.01 noise tail stays below the
-        # 5% leftover-energy allowance of the default policy.
+        # 5% energy allowance of the default signal-rank policy.
         model = make_planted((20, 30), 150, 3, (2, 2), joint_scales=(4.0, 3.6, 3.2),
                              individual_scales=((3.0, 2.4), (3.0, 2.4)), noise_sigma=0.01, seed=17)
-        assert select_individual_ranks(model.blocks, model.joint_vt, energy=0.95) == [2, 2]
+        signal_ranks = [estimate_signal_rank(b, energy=0.95) for b in model.blocks]
+        decision = select_joint_rank(model.blocks, signal_ranks, seed=2)
+        assert (decision.joint_rank, decision.individual_ranks) == (3, [2, 2])
