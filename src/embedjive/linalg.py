@@ -1,12 +1,12 @@
 """Dense low-rank kernels.
 
-Embedding blocks are short and wide (features p up to a few hundred,
-vocabulary n up to hundreds of thousands), so the truncated SVD of a
-``p x n`` matrix is computed from the ``p x p`` Gram matrix: O(p^2 n + p^3)
-work and never any ``n x n`` intermediate.  ``singular_values`` calls LAPACK
-directly: the package passes it compressed blocks, at most P columns wide.
-All arithmetic is double precision and sequential execution is run-to-run
-deterministic.
+Every SVD is one LAPACK call on the matrix itself (``np.linalg.svd`` with
+``full_matrices=False``), so singular values are accurate to rounding
+relative to the largest, with no floor from squaring them.  The package
+passes compressed blocks, at most P (the summed block dims) columns wide,
+or the small r x P matrices of a warm-started fit sweep, so no call sees
+the vocabulary axis.  All arithmetic is double precision and sequential
+execution is run-to-run deterministic.
 """
 
 from __future__ import annotations
@@ -49,25 +49,27 @@ def _checked_matrix(matrix) -> np.ndarray:
 
 
 def truncated_svd(matrix, k: int) -> TruncatedSVD:
-    """Rank-``k`` SVD of a dense matrix via the small-side Gram matrix.
+    """Rank-``k`` SVD of a dense matrix from LAPACK.
 
-    Deterministic for a fixed input.  Singular values that fall below the
-    Gram-trick resolution floor (sqrt(eps) relative to the largest) are
-    reported as exactly zero and their right vectors are filled with a
-    deterministic orthonormal completion, so ``Vt`` stays row-orthonormal
-    even past the numerical rank.
+    Signs are fixed so that the largest-magnitude entry of each ``U`` column
+    is positive, which makes the factors a function of the matrix and not of
+    the LAPACK path: the same matrix given in other column coordinates gets
+    the same ``U`` up to rounding.  Past the numerical rank the singular
+    values are at rounding level and ``Vt`` is completed by LAPACK, still
+    row-orthonormal.
     """
     m = _checked_matrix(matrix)
     p, n = m.shape
     if not 1 <= k <= min(p, n):
         raise ValueError(f"rank {k} out of range for a {p}x{n} matrix")
-    u, s, vt = _gram_svd(m, k)
-    return TruncatedSVD(U=u, S=s, Vt=vt)
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    u, s, vt = u[:, :k], s[:k], vt[:k]
+    signs = np.where(u[np.abs(u).argmax(axis=0), np.arange(k)] < 0, -1.0, 1.0)
+    return TruncatedSVD(U=u * signs, S=s, Vt=vt * signs[:, None])
 
 
 def singular_values(matrix) -> np.ndarray:
-    """All ``min(p, n)`` singular values, descending, from LAPACK: accurate to
-    rounding relative to the largest, with no Gram-trick floor."""
+    """All ``min(p, n)`` singular values, descending, from LAPACK."""
     return np.linalg.svd(_checked_matrix(matrix), compute_uv=False)
 
 
@@ -108,51 +110,3 @@ def principal_angle_sines(vt_a, vt_b) -> np.ndarray:
     residual = a - (a @ b.T) @ b
     sines = np.linalg.svd(residual, compute_uv=False)
     return np.clip(np.sort(sines), 0.0, 1.0)
-
-
-def _gram_svd(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    p, n = m.shape
-    if p > n:
-        v, s, ut = _gram_svd(m.T, k)
-        return ut.T, s, v.T
-    gram = m @ m.T
-    gram = (gram + gram.T) * 0.5
-    evals, evecs = np.linalg.eigh(gram)
-    s = np.sqrt(np.clip(evals[::-1][:k], 0.0, None))
-    u = np.ascontiguousarray(evecs[:, ::-1][:, :k])
-    vt = _right_factor(m, u, s)
-    return u, s, vt
-
-
-def _right_factor(m: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Rows ``(u_j' M) / s_j``, orthonormally completed where ``s_j`` is void."""
-    vt = u.T @ m
-    if s.size == 0:
-        return vt
-    # Below this floor the Gram eigenvalue is dominated by rounding in M M'.
-    cutoff = s[0] * np.sqrt(max(m.shape) * np.finfo(float).eps)
-    good = s > cutoff
-    vt[good] /= s[good, None]
-    if not good.all():
-        s[~good] = 0.0
-        _complete_rows(vt, int(good.sum()))
-    return vt
-
-
-def _complete_rows(vt: np.ndarray, start: int) -> None:
-    """Overwrite ``vt[start:]`` with deterministic orthonormal rows orthogonal to ``vt[:start]``."""
-    k, n = vt.shape
-    for j in range(start, k):
-        basis = vt[:j]
-        col_energy = (basis**2).sum(axis=0) if j else np.zeros(n)
-        for idx in np.argsort(col_energy, kind="stable"):
-            residual = -basis.T @ basis[:, idx] if j else np.zeros(n)
-            residual[idx] += 1.0
-            if j:
-                residual -= basis.T @ (basis @ residual)
-            norm = float(np.linalg.norm(residual))
-            if norm > 1e-6:
-                vt[j] = residual / norm
-                break
-        else:
-            raise NumericError("failed to complete an orthonormal basis")

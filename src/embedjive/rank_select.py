@@ -113,8 +113,9 @@ def select_joint_rank(
 
     ``blocks`` is a :class:`BlockStack`, or a list that is compressed first.
     The spectrum is read off the compressed blocks; the samplers and the
-    ``sum(signal ranks) <= n`` check use the vocabulary size n.  The
-    decision's individual ranks follow :func:`select_individual_ranks`.
+    ``sum(signal ranks) <= n`` check use the vocabulary size n.  A signal
+    rank above a block's numerical rank raises ValueError.  The decision's
+    individual ranks follow :func:`select_individual_ranks`.
     """
     stack = BlockStack.of(blocks)
     arrays, n = [stack.block(i) for i in range(len(stack))], stack.n
@@ -135,6 +136,13 @@ def select_joint_rank(
         raise ValueError(f"unknown mode {mode!r}; expected 'wedin' or 'null'")
 
     svds = [truncated_svd(arr, t_i) for arr, t_i in zip(arrays, t)]
+    for i, (svd, (p, _)) in enumerate(zip(svds, stack.shapes)):
+        # A direction past the numerical rank is arbitrary, not signal.
+        floor = svd.S[0] * max(p, n) * np.finfo(float).eps
+        if svd.S[-1] <= floor:
+            raise ValueError(
+                f"signal rank {t[i]} exceeds the numerical rank {int((svd.S > floor).sum())}"
+                f" of block {i} ({stack.names[i]})")
     stacked_bases = np.hstack([svd.Vt.T for svd in svds])
     spectrum = np.clip(np.linalg.eigvalsh(stacked_bases.T @ stacked_bases)[::-1], 0.0, None)
 
@@ -231,7 +239,7 @@ def _wedin_sin_bound(
     all_sv = singular_values(arr)
     residual_sv = all_sv[t_i:]
     smallest_signal = float(svd.S[-1])
-    if residual_sv.size == 0 or smallest_signal == 0.0:
+    if residual_sv.size == 0:
         return 0.0
     if float(residual_sv.max()) <= smallest_signal * 1e-12:
         return 0.0

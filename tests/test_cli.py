@@ -300,6 +300,16 @@ class TestRanks:
         payload = json.loads(capsys.readouterr().out)
         assert payload["joint_rank"] == 3
 
+    def test_signal_rank_above_numerical_rank_exits_2(self, input_files, tmp_path, capsys):
+        # Rows 3-5 repeat rows 0-2, so the block has rank 3.
+        rows = np.random.default_rng(3).standard_normal((3, 40))
+        path = tmp_path / "rank3.txt"
+        write_embedding(EmbeddingMatrix([f"w{i:03d}" for i in range(40)], np.vstack([rows, rows]), "rank3"), path)
+        argv = ["ranks", "--input", input_files[0], "--input", str(path), "--signal-ranks", "3,4"]
+        assert main(argv) == 2
+        assert "signal rank 4 exceeds the numerical rank 3 of block 1 (rank3)" in capsys.readouterr().err
+        assert main(argv[:-1] + ["3,3"]) == 0
+
     def test_deterministic_stdout(self, input_files, capsys):
         argv = ["ranks", "--input", input_files[0], "--input", input_files[1], "--seed", "9"]
         assert main(argv) == 0

@@ -213,45 +213,50 @@ class TestVarianceExplained:
                 variance_explained(result, other)
 
 
-def reference_fit(blocks, config):
+def reference_fit(blocks, config, warm=True):
     """The uncompressed sweep loop: every step on the n-wide blocks.
 
-    Returns the residual history, the lifted factors the compressed fit must
-    reproduce, and each block's joint/individual/residual percentages."""
+    With ``warm`` each sweep's SVDs start from the previous sweep's rows, one
+    subspace-iteration step as in the package; without it every sweep takes
+    exact LAPACK SVDs.  Returns the residual history, the lifted factors the
+    compressed fit must reproduce, and each block's joint/individual/residual
+    percentages."""
     arrays = [np.asarray(b, dtype=float) for b in blocks]
     stacked = np.vstack(arrays)
     offsets = np.cumsum([0] + [a.shape[0] for a in arrays])
     slices = [slice(offsets[i], offsets[i + 1]) for i in range(len(arrays))]
     exact_floor = 1e-24 * float(np.sum(stacked**2))
 
-    def row_basis(m):
-        return truncated_svd(m, config.joint_rank).Vt if config.joint_rank else np.zeros((0, m.shape[1]))
-
-    def individual(leftover, rank):
+    def fit(m, rank, rows=None):
+        """``(U, S Vt, Vt)`` of the rank-``rank`` fit of ``m``."""
         if rank == 0:
-            return np.zeros((leftover.shape[0], 0)), np.zeros((0, leftover.shape[1]))
-        svd = truncated_svd(leftover, rank)
-        return svd.U, svd.S[:, None] * svd.Vt
+            return np.zeros((m.shape[0], 0)), np.zeros((0, m.shape[1])), np.zeros((0, m.shape[1]))
+        if rows is None or not warm:
+            t = truncated_svd(m, rank)
+            return t.U, t.S[:, None] * t.Vt, t.Vt
+        q = np.linalg.qr(m @ rows.T)[0]
+        t = truncated_svd(q.T @ m, rank)
+        return q @ t.U, t.S[:, None] * t.Vt, t.Vt
 
-    vt = row_basis(stacked)
+    ranks = config.individual_ranks
+    vt = fit(stacked, config.joint_rank)[2]
     source = stacked
     joint = (source @ vt.T) @ vt
-    parts = [individual(arrays[i] - joint[s], r) for i, (s, r) in enumerate(zip(slices, config.individual_ranks))]
-    indiv = np.vstack([d @ h for d, h in parts])
+    parts = [fit(arrays[i] - joint[s], r) for i, (s, r) in enumerate(zip(slices, ranks))]
+    indiv = np.vstack([d @ h for d, h, _ in parts])
     history = [float(np.sum((stacked - joint - indiv) ** 2))]
     converged = history[0] <= exact_floor
     while not converged and len(history) <= config.max_iter:
         deflated = stacked - indiv
-        vt = row_basis(deflated)
+        vt = fit(deflated, config.joint_rank, vt)[2]
         source = stacked if config.enforce_orthogonality else deflated
         joint = (source @ vt.T) @ vt
-        parts = []
-        for i, (s, r) in enumerate(zip(slices, config.individual_ranks)):
+        for i, (s, r) in enumerate(zip(slices, ranks)):
             leftover = arrays[i] - joint[s]
             if config.enforce_orthogonality:
                 leftover = leftover - (leftover @ vt.T) @ vt
-            parts.append(individual(leftover, r))
-        indiv = np.vstack([d @ h for d, h in parts])
+            parts[i] = fit(leftover, r, parts[i][2])
+        indiv = np.vstack([d @ h for d, h, _ in parts])
         history.append(float(np.sum((stacked - joint - indiv) ** 2)))
         rel = (history[-2] - history[-1]) / history[-2]
         converged = rel < config.epsilon or history[-1] <= exact_floor
@@ -263,7 +268,7 @@ def reference_fit(blocks, config):
     for i, x in enumerate(arrays):
         j, a = loadings[i] @ joint_basis, parts[i][0] @ parts[i][1]
         pct.append([100 * float(np.sum(m**2)) / float(np.sum(x**2)) for m in (j, a, x - j - a)])
-    return history, joint_basis, loadings, [h for _, h in parts], pct
+    return history, joint_basis, loadings, [h for _, h, _ in parts], pct
 
 
 class TestCompressedFit:
@@ -295,6 +300,19 @@ class TestCompressedFit:
         report = variance_explained(result, model.blocks)
         got = np.array([report.joint_pct, report.individual_pct, report.residual_pct]).T
         assert np.abs(got - np.array(pct)).max() <= 1e-10
+
+    def test_warm_and_cold_sweeps_reach_the_same_fit(self):
+        # Warm-started sweeps take inexact steps; run to a tight tolerance they
+        # must land on the fit that exact per-sweep SVDs reach.
+        model = make_planted((20, 30), 200, 3, (2, 2), joint_scales=(3.0, 2.5, 2.0),
+                             individual_scales=((1.5, 1.2), (1.5, 1.2)), noise_sigma=0.05, seed=8)
+        config = JiveConfig(joint_rank=3, individual_ranks=(2, 2), epsilon=1e-12, max_iter=2000)
+        result = jive_fit(model.blocks, config)
+        history, joint_basis, *_ = reference_fit(model.blocks, config, warm=False)
+        assert result.converged and result.max_residual_increase == 0.0
+        assert abs(result.residual_history[-1] - history[-1]) <= 1e-10 * history[-1]
+        cold_vt = np.linalg.qr(joint_basis.T)[0].T
+        assert principal_angle_sines(result.joint_vt, cold_vt).max() <= 1e-4
 
     def test_compressed_width(self, rng):
         for dims, n in (((8, 12), 90), ((30, 40), 50), ((20, 30), 50)):

@@ -64,13 +64,16 @@ class TestTruncatedSVD:
             assert np.abs(t.U.T @ t.U - np.eye(k)).max() < 1e-10
             assert np.abs(t.Vt @ t.Vt.T - np.eye(k)).max() < 1e-10
             assert (np.diff(t.S) <= 1e-12).all() and (t.S >= 0).all()
+            assert (t.U[np.abs(t.U).argmax(axis=0), np.arange(k)] > 0).all()
 
     def test_rank_deficient_completion(self, rng):
         u = rng.standard_normal((6, 2))
         v = rng.standard_normal((2, 30))
-        t = truncated_svd(u @ v, 5)
+        m = u @ v
+        t = truncated_svd(m, 5)
         assert np.abs(t.Vt @ t.Vt.T - np.eye(5)).max() < 1e-10
-        assert (t.S[2:] == 0.0).all()
+        assert (t.S[2:] <= 1e-14 * t.S[0]).all()
+        assert np.abs(t.compose() - m).max() <= 1e-12 * np.abs(m).max()
 
     def test_zero_matrix(self):
         t = truncated_svd(np.zeros((3, 9)), 2)
@@ -164,14 +167,16 @@ def test_singular_values_permutation_invariant(seed, p, n):
 
 
 def test_singular_values_resolve_small_values(rng):
-    # The Gram route squares the values, so anything below sqrt(eps) of the
-    # largest came back as 0 or with a relative error of 1e-5.
+    # A route through the Gram matrix squares the values, so anything below
+    # sqrt(eps) of the largest would come back as 0 or with a relative error
+    # of 1e-5.
     s = np.array([1.0, 0.5, 1e-6, 1e-10])
     u = np.linalg.qr(rng.standard_normal((4, 4)))[0]
     vt = np.linalg.qr(rng.standard_normal((30, 4)))[0].T
-    sv = singular_values((u * s) @ vt)
-    assert np.abs(sv - s).max() <= 1e-14
-    assert abs(sv[-1] - 1e-10) <= 1e-4 * 1e-10
+    m = (u * s) @ vt
+    for sv in (singular_values(m), truncated_svd(m, 4).S):
+        assert np.abs(sv - s).max() <= 1e-14
+        assert abs(sv[-1] - 1e-10) <= 1e-4 * 1e-10
 
 
 def test_principal_angle_sines(rng):

@@ -112,6 +112,14 @@ class TestSelectJointRank:
         with pytest.raises(ValueError, match="mode"):
             select_joint_rank([x, y], (2, 2), mode="bogus", seed=0)
 
+    def test_signal_rank_above_numerical_rank(self, rng):
+        # b2 has exact rank 3: a 4th "signal" direction would be a null vector.
+        b1, b2 = _shared_subspace_blocks(rng)
+        blocks = [b1 + 0.05 * rng.standard_normal(b1.shape), b2]
+        with pytest.raises(ValueError, match=r"signal rank 4 exceeds the numerical rank 3 of block 1 \(block1\)"):
+            select_joint_rank(blocks, (5, 4), seed=7)
+        assert select_joint_rank(blocks, (5, 3), seed=7).joint_rank == 3
+
     def test_metadata_flags_rule(self, rng):
         x = rng.standard_normal((6, 150))
         y = rng.standard_normal((6, 150))
@@ -288,6 +296,9 @@ class TestSelectIndividualRanks:
     def test_decision_carries_the_rule(self, rng):
         # Three shared directions; signal ranks above 3 leave the rest individual.
         b1, b2 = _shared_subspace_blocks(rng)
+        # b2 gets a fourth direction of its own, outside the shared three.
+        own = rng.standard_normal((1, b2.shape[1])) / np.sqrt(b2.shape[1])
+        b2 = b2 + 1.5 * rng.standard_normal((b2.shape[0], 1)) @ own
         decision = select_joint_rank([b1 + 0.05 * rng.standard_normal(b1.shape), b2], (5, 4), seed=7)
         assert (decision.joint_rank, decision.individual_ranks) == (3, [2, 1])
         assert decision.to_json_dict()["individual_ranks"] == [2, 1]

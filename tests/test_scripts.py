@@ -1,0 +1,53 @@
+"""The scripts under ``scripts/`` run end to end and print what they document.
+
+Each runs as its own process, the way a user starts it, so a helper that a
+script imports and the package no longer has fails here.
+"""
+
+import os
+import pathlib
+import re
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_pipeline_demo(tmp_path):
+    work = tmp_path / "demo"
+    lines = run_script("pipeline_demo.py", "--seed", "1", "--work-dir", str(work), cwd=tmp_path)
+    commands = [line.split()[2] for line in lines if line.startswith("$ embedjive ")]
+    assert commands == ["ranks", "decompose", "compose", "eval", "report"]
+    assert any(re.fullmatch(r"converged=True iterations=\d+ out_dir=.*", line) for line in lines)
+    composed = [line for line in lines if re.fullmatch(r"[a-z0-9+]+\.txt: \d+ x 400", line)]
+    assert len(composed) == 7
+    assert sum(line.startswith('{"accuracy": ') for line in lines) == 9
+    assert lines[-1] == f"artifacts under {work}/"
+    assert (work / "model" / "model.json").is_file()
+
+
+def test_planted_demo(tmp_path):
+    lines = run_script("planted_demo.py", "--seeds", "2", "--noise-fracs", "0.05", cwd=tmp_path)
+    assert len(lines) == 1
+    match = re.match(r"noise= *5\.00%  sigma=\S+  max sine=(\S+)  oracle=(\S+)  joint%=.*iters=\d+$", lines[0])
+    assert match
+    assert all(0.0 < float(sine) < 0.2 for sine in match.groups())
+
+
+def test_rank_null_calibration(tmp_path):
+    lines = run_script("rank_null_calibration.py", "--runs", "5", "--n", "300", "--resamples", "20", cwd=tmp_path)
+    assert len(lines) == 4
+    assert re.match(r"duplicated blocks +r=5: 5 ", lines[0])
+    assert re.match(r"independent blocks +r=\d", lines[1])
+    assert re.match(r" +false positives \d/5 = ", lines[2])
+    assert re.match(r"planted joint rank 2 +r=2: 5 ", lines[3])
