@@ -74,7 +74,7 @@ def main():
     run(["compose", "--model", model_dir, "--compositions", "all", "--out-dir", composed_dir])
     eval_dir = work / "eval"
     composed = sorted(composed_dir.glob("*.txt"))
-    eval_args = ["eval", "--train", corpus, "--test", corpus, "--seed", args.seed, "--out-dir", eval_dir]
+    eval_args = ["eval", "--train", corpus, "--test", corpus, "--out-dir", eval_dir]
     for path in [*inputs, *composed]:
         eval_args += ["--input", path]
     run(eval_args)

@@ -14,6 +14,7 @@ import hashlib
 import json
 import platform
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
 
@@ -256,7 +257,7 @@ def _write_model(out_dir: Path, args, inputs: list[dict], stack: BlockStack, res
         "max_iter": config.max_iter,
         "seed": args.seed,
         "tau": None if decision is None else decision.tau,
-        "rank_decision": None if decision is None else decision.to_json_dict(),
+        "rank_decision": None if decision is None else asdict(decision),
         "enforce_orthogonality": config.enforce_orthogonality,
         "converged": result.converged,
         "stop_reason": result.stop_reason,
@@ -304,7 +305,7 @@ def cmd_ranks(args) -> int:
         seed=args.seed,
         mode=args.rank_mode,
     )
-    payload = decision.to_json_dict()
+    payload = asdict(decision)
     payload["block_names"] = stack.names
     text = json.dumps(payload, sort_keys=True, indent=2)
     print(text)
@@ -427,15 +428,7 @@ def cmd_eval(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for matrix in matrices:
-        model = train_linear(
-            train_corpus,
-            matrix,
-            epochs=args.epochs,
-            lr=args.lr,
-            l2=args.l2,
-            seed=args.seed,
-            batch_size=args.batch_size,
-        )
+        model = train_linear(train_corpus, matrix, l2=args.l2)
         result = evaluate(test_corpus, matrix, model)
         row = json.dumps(result.to_json_dict(), sort_keys=True)
         rows.append(row)
@@ -443,15 +436,7 @@ def cmd_eval(args) -> int:
     with (out_dir / "results.jsonl").open("a", encoding="utf-8") as fh:
         for row in rows:
             fh.write(row + "\n")
-    config_echo = {
-        "epochs": args.epochs,
-        "lr": args.lr,
-        "l2": args.l2,
-        "seed": args.seed,
-        "batch_size": args.batch_size,
-        "train": str(args.train),
-        "test": str(args.test),
-    }
+    config_echo = {"l2": args.l2, "train": str(args.train), "test": str(args.test)}
     _write_manifest(out_dir, "eval", config_echo, input_records, ["results.jsonl"])
     return EXIT_OK
 
@@ -516,15 +501,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("eval", help="train/evaluate a linear classifier per embedding")
+    p = sub.add_parser("eval", help="fit and score a linear discriminant classifier per embedding")
     _add_input_flag(p)
     p.add_argument("--train", required=True, help="training corpus, label<TAB>text per line")
     p.add_argument("--test", required=True, help="test corpus, label<TAB>text per line")
-    p.add_argument("--epochs", type=_positive_int, default=50)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--l2", type=float, default=1e-4)
-    p.add_argument("--batch-size", type=_positive_int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--l2", type=float, default=1e-4, help="shrinkage added to the scaled within-class covariance")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_eval)
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from embedjive.jive import BlockStack
-from embedjive.linalg import singular_values, truncated_svd
+from embedjive.linalg import TruncatedSVD, singular_values, truncated_svd
 
 
 @dataclass
@@ -57,22 +57,6 @@ class RankDecision:
     individual_ranks: list[int]
     tau_wedin: float | None = None
     wedin_sin2: list[float] | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "joint_rank": self.joint_rank,
-            "signal_ranks": list(self.signal_ranks),
-            "individual_ranks": list(self.individual_ranks),
-            "tau": self.tau,
-            "tau_null": self.tau_null,
-            "tau_wedin": self.tau_wedin,
-            "wedin_sin2": None if self.wedin_sin2 is None else list(self.wedin_sin2),
-            "spectrum": list(self.spectrum),
-            "method": self.method,
-            "resamples": self.resamples,
-            "quantile": self.quantile,
-            "seed": self.seed,
-        }
 
 
 def estimate_signal_rank(block, k: int | None = None, energy: float = 0.95) -> int:
@@ -135,15 +119,16 @@ def select_joint_rank(
     if mode not in ("wedin", "null"):
         raise ValueError(f"unknown mode {mode!r}; expected 'wedin' or 'null'")
 
-    svds = [truncated_svd(arr, t_i) for arr, t_i in zip(arrays, t)]
-    for i, (svd, (p, _)) in enumerate(zip(svds, stack.shapes)):
+    # Full SVDs: the signal rows come first, the residual spectrum after them.
+    svds = [truncated_svd(arr, min(arr.shape)) for arr in arrays]
+    for i, (svd, t_i, (p, _)) in enumerate(zip(svds, t, stack.shapes)):
         # A direction past the numerical rank is arbitrary, not signal.
         floor = svd.S[0] * max(p, n) * np.finfo(float).eps
-        if svd.S[-1] <= floor:
+        if svd.S[t_i - 1] <= floor:
             raise ValueError(
-                f"signal rank {t[i]} exceeds the numerical rank {int((svd.S > floor).sum())}"
+                f"signal rank {t_i} exceeds the numerical rank {int((svd.S > floor).sum())}"
                 f" of block {i} ({stack.names[i]})")
-    stacked_bases = np.hstack([svd.Vt.T for svd in svds])
+    stacked_bases = np.hstack([svd.Vt[:t_i].T for svd, t_i in zip(svds, t)])
     spectrum = np.clip(np.linalg.eigvalsh(stacked_bases.T @ stacked_bases)[::-1], 0.0, None)
 
     null_seq, *block_seqs = np.random.SeedSequence(seed).spawn(1 + k_blocks)
@@ -156,7 +141,7 @@ def select_joint_rank(
     wedin_sin2 = None
     if mode == "wedin":
         wedin_sin2 = [
-            _wedin_sin_bound(arrays[i], svds[i], t[i], resamples, quantile, block_seqs[i], n) ** 2
+            _wedin_sin_bound(svds[i], t[i], resamples, quantile, block_seqs[i], n) ** 2
             for i in range(k_blocks)
         ]
         tau_wedin = max(0.0, k_blocks - float(sum(wedin_sin2)))
@@ -219,13 +204,15 @@ def _null_spectrum_max(n: int, ranks: list[int], resamples: int, seq: np.random.
 
 
 def _wedin_sin_bound(
-    arr, svd, t_i: int, resamples: int, quantile: float, seq: np.random.SeedSequence, n: int
+    svd: TruncatedSVD, t_i: int, resamples: int, quantile: float, seq: np.random.SeedSequence, n: int
 ) -> float:
     """Resampled Wedin-type bound on the sine of the largest angle by which
     noise with the block's residual spectrum can tilt the signal subspace.
 
-    ``n`` is the vocabulary size, which ``arr`` (possibly a compressed
-    block) need not have as its column count.
+    ``svd`` is the block's full SVD: its first ``t_i`` singular triples are
+    the signal, the singular values after them the residual spectrum.
+    ``n`` is the vocabulary size, which the block (possibly compressed)
+    need not have as its column count.
 
     Both terms of the bound are kept.  The left (p-side) term is the norm of
     the residual spectrum times the t x m corner of a Haar p x m frame, the
@@ -235,10 +222,10 @@ def _wedin_sin_bound(
     n = 60 and 0% at n = 100; dropping it whenever p <= n would lower
     tau_wedin for blocks near n = p.
     """
-    p = arr.shape[0]
-    all_sv = singular_values(arr)
-    residual_sv = all_sv[t_i:]
-    smallest_signal = float(svd.S[-1])
+    p = svd.U.shape[0]
+    signal_u = svd.U[:, :t_i]
+    residual_sv = svd.S[t_i:]
+    smallest_signal = float(svd.S[t_i - 1])
     if residual_sv.size == 0:
         return 0.0
     if float(residual_sv.max()) <= smallest_signal * 1e-12:
@@ -257,6 +244,6 @@ def _wedin_sin_bound(
         r2 = _bartlett(rng, min(n - t_i, m), m, n - t_i)
         corner = np.linalg.qr(np.vstack([g1, r2]))[0][:t_i]
         right = np.linalg.norm(corner * residual_sv[None, :], 2)
-        left = np.linalg.norm((svd.U.T @ u_rand) * residual_sv[None, :], 2)
+        left = np.linalg.norm((signal_u.T @ u_rand) * residual_sv[None, :], 2)
         bounds[d] = min(1.0, max(right, left) / smallest_signal)
     return float(np.quantile(bounds, quantile, method="higher"))

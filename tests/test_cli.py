@@ -446,7 +446,6 @@ class TestEval:
                 "--input", str(emb_path),
                 "--train", str(corpus_path),
                 "--test", str(corpus_path),
-                "--seed", "1",
                 "--out-dir", str(out),
             ]
         )
@@ -465,7 +464,7 @@ class TestEval:
         out = tmp_path / "eval"
         argv = [
             "eval", "--input", str(emb_path), "--train", str(corpus_path),
-            "--test", str(corpus_path), "--epochs", "3", "--out-dir", str(out),
+            "--test", str(corpus_path), "--out-dir", str(out),
         ]
         assert main(argv) == 0
         assert main(argv) == 0

@@ -139,16 +139,17 @@ def _reference_null_max(n, ranks, draws, rng):
 
 
 def _reference_wedin_draws(arr, svd, t_i, draws, rng):
-    """The explicit sampler: Haar frames of full height p and n."""
+    """The explicit sampler: Haar frames of full height p and n.  ``svd``
+    holds at least ``t_i`` singular triples; the first ``t_i`` are the signal."""
     p, n = arr.shape
     residual_sv = singular_values(arr)[t_i:]
     out = np.empty(draws)
     for d in range(draws):
         u_rand = np.linalg.qr(rng.standard_normal((p, residual_sv.size)))[0]
         v_rand = np.linalg.qr(rng.standard_normal((n, residual_sv.size)))[0]
-        right = np.linalg.norm(residual_sv[:, None] * (v_rand.T @ svd.Vt.T), 2)
-        left = np.linalg.norm((svd.U.T @ u_rand) * residual_sv[None, :], 2)
-        out[d] = min(1.0, max(right, left) / svd.S[-1])
+        right = np.linalg.norm(residual_sv[:, None] * (v_rand.T @ svd.Vt[:t_i].T), 2)
+        left = np.linalg.norm((svd.U[:, :t_i].T @ u_rand) * residual_sv[None, :], 2)
+        out[d] = min(1.0, max(right, left) / svd.S[t_i - 1])
     return out
 
 
@@ -174,11 +175,11 @@ class TestSamplersMatchExplicitDraws:
         vt = np.linalg.qr(rng.standard_normal((300, 3)))[0].T
         arr = (u * [3.0, 2.5, 2.0]) @ vt + 0.05 * rng.standard_normal((12, 300))
         t_i, draws = 3, 500
-        svd = truncated_svd(arr, t_i)
+        svd = truncated_svd(arr, min(arr.shape))
         svd = dataclasses.replace(svd, U=np.zeros_like(svd.U))
         # One draw per call: quantile over a single sample is that sample.
         sample = np.array([
-            _wedin_sin_bound(arr, svd, t_i, 1, 0.5, np.random.SeedSequence([44, d]), arr.shape[1]) for d in range(draws)
+            _wedin_sin_bound(svd, t_i, 1, 0.5, np.random.SeedSequence([44, d]), arr.shape[1]) for d in range(draws)
         ])
         reference = _reference_wedin_draws(arr, svd, t_i, draws, rng)
         assert 0.0 < reference.max() < 1.0
@@ -216,8 +217,8 @@ def _reference_left_only(arr, svd, t_i, resamples, quantile, seq):
     for d, child in enumerate(seq.spawn(resamples)):
         rng = np.random.default_rng(child)
         u_rand = np.linalg.qr(rng.standard_normal((arr.shape[0], residual_sv.size)))[0]
-        left = np.linalg.norm((svd.U.T @ u_rand) * residual_sv[None, :], 2)
-        bounds[d] = min(1.0, left / svd.S[-1])
+        left = np.linalg.norm((svd.U[:, :t_i].T @ u_rand) * residual_sv[None, :], 2)
+        bounds[d] = min(1.0, left / svd.S[t_i - 1])
     return float(np.quantile(bounds, quantile, method="higher"))
 
 
@@ -229,8 +230,8 @@ def test_wedin_right_term_decides_at_square_blocks(rng):
     u = np.linalg.qr(rng.standard_normal((p, t_i)))[0]
     vt = np.linalg.qr(rng.standard_normal((n, t_i)))[0].T
     arr = (u * np.linspace(3.0, 2.0, t_i)) @ vt + 0.05 * rng.standard_normal((p, n))
-    svd = truncated_svd(arr, t_i)
-    bound = _wedin_sin_bound(arr, svd, t_i, 200, 0.95, np.random.SeedSequence(8), n)
+    svd = truncated_svd(arr, min(arr.shape))
+    bound = _wedin_sin_bound(svd, t_i, 200, 0.95, np.random.SeedSequence(8), n)
     left_only = _reference_left_only(arr, svd, t_i, 200, 0.95, np.random.SeedSequence(8))
     assert bound > left_only
 
@@ -239,16 +240,16 @@ def _word_wide_decision(blocks, ranks, seed, mode, resamples=100, quantile=0.95)
     """``select_joint_rank``'s spectrum, threshold and Wedin sines computed
     from the module's helpers on the n-wide blocks, on the same spawned seeds."""
     n, k = blocks[0].shape[1], len(blocks)
-    svds = [truncated_svd(b, t) for b, t in zip(blocks, ranks)]
-    stacked = np.hstack([svd.Vt.T for svd in svds])
+    svds = [truncated_svd(b, min(b.shape)) for b in blocks]
+    stacked = np.hstack([svd.Vt[:t].T for svd, t in zip(svds, ranks)])
     spectrum = np.clip(np.linalg.eigvalsh(stacked.T @ stacked)[::-1], 0.0, None)
     null_seq, *block_seqs = np.random.SeedSequence(seed).spawn(1 + k)
     tau = float(np.quantile(_null_spectrum_max(n, list(ranks), resamples, null_seq), quantile, method="higher"))
     wedin_sin2 = None
     if mode == "wedin":
         wedin_sin2 = [
-            _wedin_sin_bound(b, svd, t, resamples, quantile, seq, n) ** 2
-            for b, svd, t, seq in zip(blocks, svds, ranks, block_seqs)
+            _wedin_sin_bound(svd, t, resamples, quantile, seq, n) ** 2
+            for svd, t, seq in zip(svds, ranks, block_seqs)
         ]
         tau = max(tau, k - sum(wedin_sin2))
     tau = min(tau, k * (1.0 - 1e-12))
@@ -301,7 +302,7 @@ class TestSelectIndividualRanks:
         b2 = b2 + 1.5 * rng.standard_normal((b2.shape[0], 1)) @ own
         decision = select_joint_rank([b1 + 0.05 * rng.standard_normal(b1.shape), b2], (5, 4), seed=7)
         assert (decision.joint_rank, decision.individual_ranks) == (3, [2, 1])
-        assert decision.to_json_dict()["individual_ranks"] == [2, 1]
+        assert dataclasses.asdict(decision)["individual_ranks"] == [2, 1]
 
     def test_planted_ranks_recovered(self):
         # Individual scales sized so the sigma=0.01 noise tail stays below the
