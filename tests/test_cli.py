@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import embedjive.cli
-from corpus_util import separable_corpus, write_corpus_tsv
+from corpus_util import clean_noisy_pair, separable_corpus, write_corpus_tsv
 from embedjive.cli import main
 from embedjive.compose import compose, standard_compositions
 from embedjive.embed_io import EmbeddingMatrix, parse_embedding, write_embedding
@@ -470,6 +470,30 @@ class TestEval:
         assert main(argv) == 0
         capsys.readouterr()
         assert len((out / "results.jsonl").read_text().strip().splitlines()) == 2
+
+    def test_embeddings_evaluated_together_match_alone(self, tmp_path, capsys):
+        train, test, clean, noisy = clean_noisy_pair(5)
+        # Different dims and vocabularies, so a lookup or buffer carried from
+        # one embedding to the next would change the second row.
+        partial = EmbeddingMatrix(vocab=noisy.vocab[60:], data=noisy.data[:, 60:], name="partial")
+        paths = []
+        for name, embedding in (("clean", clean), ("partial", partial)):
+            paths.append(tmp_path / f"{name}.txt")
+            write_embedding(embedding, paths[-1])
+        corpus_paths = [tmp_path / "train.tsv", tmp_path / "test.tsv"]
+        write_corpus_tsv(train, corpus_paths[0])
+        write_corpus_tsv(test, corpus_paths[1])
+
+        def run(out_name, inputs):
+            argv = ["eval", *sum((["--input", str(p)] for p in inputs), []), "--train", str(corpus_paths[0]),
+                    "--test", str(corpus_paths[1]), "--out-dir", str(tmp_path / out_name)]
+            assert main(argv) == 0
+            return (tmp_path / out_name / "results.jsonl").read_text().splitlines()
+
+        together = run("both", paths)
+        capsys.readouterr()
+        assert len(together) == 2
+        assert together == run("first", paths[:1]) + run("second", paths[1:])
 
 
 class TestReport:

@@ -1,3 +1,6 @@
+import importlib
+import string
+
 import numpy as np
 import pytest
 
@@ -8,11 +11,16 @@ from embedjive.evaluate import (
     LabeledCorpus,
     evaluate,
     featurize,
+    featurize_corpus,
     read_corpus_tsv,
     train_linear,
 )
 from embedjive.jive import JiveConfig, jive_fit
 from embedjive.synthetic import make_planted
+
+# The package re-exports a function named ``evaluate``, so the module is
+# reached through importlib.
+evaluate_module = importlib.import_module("embedjive.evaluate")
 
 
 def two_word_embedding():
@@ -32,6 +40,62 @@ class TestFeaturize:
 
     def test_oov_tokens_ignored(self):
         np.testing.assert_allclose(featurize("a qqq", two_word_embedding()), [1.0, 0.0])
+
+
+def per_text_features(texts, embedding):
+    """The featurization rule written out one text at a time: the oracle."""
+    punct_to_space = str.maketrans({c: " " for c in string.punctuation})
+    rows, all_oov = [], 0
+    for text in texts:
+        words = text.lower().translate(punct_to_space).split()
+        columns = [embedding.vocab.index(w) for w in words if w in embedding.vocab]
+        all_oov += not columns
+        rows.append(embedding.data[:, columns].mean(axis=1) if columns else np.zeros(embedding.dim))
+    return np.array(rows), all_oov
+
+
+class TestFeaturizeCorpus:
+    def test_matches_per_text_oracle(self):
+        rng = np.random.default_rng(7)
+        vocab = ["mu", "alpha", "beta", "gamma", "delta", "eps", "zeta", "eta", "theta", "iota", "kappa", "s"]
+        embedding = EmbeddingMatrix(vocab=vocab, data=rng.standard_normal((5, len(vocab))), name="greek")
+        texts = [
+            "Alpha, BETA! gamma.",
+            "alpha alpha beta alpha beta",
+            "zzz qqq",
+            "!!!",
+            "alpha beta gamma delta eps zeta eta theta iota kappa mu's",
+            "Kappa qqq KAPPA",
+        ]
+        corpus = LabeledCorpus(labels=np.array([0, 1, 0, 1, 0, 1]), texts=texts, split="test")
+        features, all_oov = featurize_corpus(corpus, embedding)
+        expected, expected_oov = per_text_features(texts, embedding)
+        np.testing.assert_allclose(features, expected, rtol=0, atol=1e-15)
+        assert all_oov == expected_oov == 2
+        for text, row in zip(texts, features):
+            np.testing.assert_array_equal(featurize(text, embedding), row)
+
+    def test_opposite_words_are_not_out_of_vocabulary(self):
+        embedding = EmbeddingMatrix(vocab=["a", "b"], data=[[1.0, -1.0], [0.0, 0.0]], name="opposite")
+        corpus = LabeledCorpus(labels=np.array([0]), texts=["a b"])
+        features, all_oov = featurize_corpus(corpus, embedding)
+        np.testing.assert_array_equal(features, [[0.0, 0.0]])
+        assert all_oov == 0
+
+    def test_each_corpus_is_tokenised_once(self, monkeypatch):
+        calls = []
+        normalize_text = evaluate_module.normalize_text
+
+        def counted(text):
+            calls.append(text)
+            return normalize_text(text)
+
+        monkeypatch.setattr(evaluate_module, "normalize_text", counted)
+        train, test, clean, noisy = clean_noisy_pair(2)
+        partial = EmbeddingMatrix(vocab=clean.vocab[40:], data=clean.data[:, 40:], name="partial")
+        for embedding in (clean, noisy, partial):
+            evaluate(test, embedding, train_linear(train, embedding))
+        assert len(calls) == len(train.texts) + len(test.texts)
 
 
 class TestCorpus:
