@@ -33,10 +33,7 @@ from embedjive.compose import (
 from embedjive.embed_io import EmbeddingMatrix, align_vocabularies, parse_embedding, preprocess, write_embedding
 from embedjive.evaluate import evaluate, read_corpus_tsv, train_linear
 from embedjive.jive import BlockStack, JiveConfig, jive_fit, variance_explained
-
-# truncated_svd is unused here but stays importable under this name, which
-# perfbench/traced_cli.py wraps.
-from embedjive.linalg import NumericError, truncated_svd  # noqa: F401
+from embedjive.linalg import NumericError
 from embedjive.rank_select import RankDecision, estimate_signal_rank, select_individual_ranks, select_joint_rank
 
 EXIT_OK = 0
@@ -44,9 +41,9 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 # Fit invariants checked after every decompose: the residual may not rise by
-# more than this fraction of the stacked blocks' energy between sweeps, and
-# with orthogonality enforced no |J_i A_i'| entry may exceed this fraction of
-# ||X_i||_F^2, nor may the three parts' energies miss ||X_i||_F^2 by more.
+# more than this fraction of the stacked blocks' energy between sweeps, no
+# |J_i A_i'| entry may exceed this fraction of ||X_i||_F^2, nor may the three
+# parts' energies miss ||X_i||_F^2 by more.
 RESIDUAL_INCREASE_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-8
 
@@ -56,11 +53,8 @@ MANIFEST_FILE = "manifest.json"
 
 # Run-record keys that report.json echoes as its provenance, and those that
 # the decompose manifest echoes as its configuration.
-PROVENANCE_KEYS = (
-    "joint_rank", "individual_ranks", "epsilon", "max_iter", "seed", "tau",
-    "enforce_orthogonality", "converged", "iterations",
-)
-CONFIG_KEYS = ("joint_rank", "individual_ranks", "epsilon", "max_iter", "seed", "enforce_orthogonality")
+PROVENANCE_KEYS = ("joint_rank", "individual_ranks", "epsilon", "max_iter", "seed", "tau", "converged", "iterations")
+CONFIG_KEYS = ("joint_rank", "individual_ranks", "epsilon", "max_iter", "seed")
 # Run-record keys that compose and report read back.
 MODEL_KEYS = ("block_names", "n_words", "joint_file", "joint_rank", "individual_files", "individual_ranks")
 
@@ -177,8 +171,6 @@ def _invariant_violations(record: dict) -> list[str]:
             f"residual rose by {invariants['max_residual_increase']:.3e} of the total energy"
             f" (limit {RESIDUAL_INCREASE_TOL:g})"
         )
-    if not record["enforce_orthogonality"]:
-        return problems
     if invariants["orthogonality_deviation"] > ORTHOGONALITY_TOL:
         problems.append(
             f"joint/individual orthogonality deviation {invariants['orthogonality_deviation']:.3e}"
@@ -208,7 +200,6 @@ def cmd_decompose(args) -> int:
         individual_ranks=individual_ranks,
         epsilon=args.epsilon,
         max_iter=args.max_iter,
-        enforce_orthogonality=not args.no_orthogonality,
     )
     result = jive_fit(stack, config)
     if result.stop_reason == "max_iter":
@@ -258,7 +249,6 @@ def _write_model(out_dir: Path, args, inputs: list[dict], stack: BlockStack, res
         "seed": args.seed,
         "tau": None if decision is None else decision.tau,
         "rank_decision": None if decision is None else asdict(decision),
-        "enforce_orthogonality": config.enforce_orthogonality,
         "converged": result.converged,
         "stop_reason": result.stop_reason,
         "iterations": result.iterations,
@@ -481,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1e-6, help="relative residual-decrease tolerance")
     p.add_argument("--max-iter", type=_positive_int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-orthogonality", action="store_true", help="skip the joint/individual orthogonality projection")
     p.add_argument("--out-dir", required=True)
     _add_rank_flags(p)
     p.set_defaults(func=cmd_decompose)

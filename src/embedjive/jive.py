@@ -16,25 +16,23 @@ for the joint step, the block's individual rows for its individual step):
 of M over span(M W') (Halko, Martinsson & Tropp, SIAM Review 2011, §4.5).
 It never forms ``M M'`` and costs O(p P r) instead of a full SVD.
 
-The squared residual still cannot rise.  The Ritz fit captures
-``||q' M||^2 >= ||M W'||^2``, the energy that the previous rows capture,
-and so does at least as well as any fit of M whose rows lie in span(W).
-Without orthogonality, the previous joint and individual parts are such
-fits of the current deflated stack and leftovers.  With it, the previous
-individual parts projected off the new joint rows are, and their residual
-equals the deflated stack's residual off the new joint rows, which the
-joint step keeps at or below the previous sweep's.  Rounding is left to
-the run-time residual check of ``decompose`` (exit 3).  Near convergence, a
-small relative decrease can also mean a subspace that has not settled; at
-the default epsilon the fit stops within about 1e-6 relative of the
-residual that exact per-sweep SVDs reach.
+The joint part is the projection of the data onto the current joint row
+space and each individual leftover is projected off that row space before
+truncation (Lock et al., Ann. Appl. Stat. 2013); ``J_i @ A_i' = 0`` then
+holds at every sweep and the per-block energies split additively.
 
-With ``enforce_orthogonality`` (the default) the joint part is the projection
-of the data onto the current joint row space and each individual leftover is
-projected off that row space before truncation; ``J_i @ A_i' = 0`` then holds
-at every sweep and the per-block energies split additively.  With the flag
-off, the joint part is the deflated stack's own rank-r fit and no
-orthogonality between joint and individual parts is maintained.
+With the warm steps the squared residual still cannot rise.  The Ritz fit
+captures ``||q' M||^2 >= ||M W'||^2``, the energy that the previous rows
+capture, and so does at least as well as any fit of M whose rows lie in
+span(W).
+The previous individual parts projected off the new joint rows are such
+fits of the current leftovers, and their residual equals the deflated
+stack's residual off the new joint rows, which the joint step keeps at or
+below the previous sweep's.  Rounding is left to the run-time residual
+check of ``decompose`` (exit 3).  Near convergence, a small relative
+decrease can also mean a subspace that has not settled; at the default
+epsilon the fit stops within about 1e-6 relative of the residual that exact
+per-sweep SVDs reach.
 
 Every iterate lies in the row space of the stacked data X (P x n, P the
 summed block dims, n the vocabulary).  :class:`BlockStack` therefore takes
@@ -64,13 +62,12 @@ EXACT_FIT_REL_TOL = 1e-24
 
 @dataclass
 class JiveConfig:
-    """Decomposition settings: ranks, stopping rule, constraint handling."""
+    """Decomposition settings: ranks and stopping rule."""
 
     joint_rank: int
     individual_ranks: Sequence[int]
     epsilon: float = 1e-6
     max_iter: int = 500
-    enforce_orthogonality: bool = True
 
     def validate(self, block_shapes: Sequence[tuple[int, int]]) -> None:
         if self.epsilon <= 0:
@@ -167,8 +164,8 @@ class JiveResult:
     @property
     def energy_split_deviation(self) -> float:
         """Largest ``|joint + individual + residual energy - ||X_i||_F^2|``
-        relative to ``||X_i||_F^2`` over the blocks; rounding only, when the
-        three parts are orthogonal."""
+        relative to ``||X_i||_F^2`` over the blocks; the three parts are
+        orthogonal, so this is rounding only."""
         parts = zip(self.joint_sq, self.individual_sq, self.residual_sq, self.block_sq_norms)
         return max(abs(j + a + e - x) / (x or 1.0) for j, a, e, x in parts)
 
@@ -297,8 +294,7 @@ def _run(blocks, config: JiveConfig, run_sweeps: bool) -> JiveResult:
     exact_floor = EXACT_FIT_REL_TOL * sum(stack.sq_norms)
 
     vt = _svd_step(x, config.joint_rank).Vt
-    joint_source = x
-    joint = _rows_onto(joint_source, vt)
+    joint = _rows_onto(x, vt)
     parts = [_svd_step(stack.block(i) - joint[s], ranks[i]) for i, s in enumerate(stack.slices)]
     indiv = np.vstack([part.compose() for part in parts])
 
@@ -312,12 +308,10 @@ def _run(blocks, config: JiveConfig, run_sweeps: bool) -> JiveResult:
             sweeps += 1
             deflated = x - indiv
             vt = _svd_step(deflated, config.joint_rank, vt).Vt
-            joint_source = x if config.enforce_orthogonality else deflated
-            joint = _rows_onto(joint_source, vt)
+            joint = _rows_onto(x, vt)
             for i, s in enumerate(stack.slices):
                 leftover = stack.block(i) - joint[s]
-                if config.enforce_orthogonality and vt.shape[0]:
-                    leftover = leftover - (leftover @ vt.T) @ vt
+                leftover = leftover - (leftover @ vt.T) @ vt
                 parts[i] = _svd_step(leftover, ranks[i], parts[i].Vt)
             indiv = np.vstack([part.compose() for part in parts])
             new_sq = _fro2(x - joint - indiv)
@@ -332,15 +326,15 @@ def _run(blocks, config: JiveConfig, run_sweeps: bool) -> JiveResult:
                 stop_reason = "tolerance"
         stop_reason = stop_reason or "max_iter"
 
-    return _extract(stack, joint_source, vt, parts, history, stop_reason, sweeps, config)
+    return _extract(stack, vt, parts, history, stop_reason, sweeps, config)
 
 
-def _extract(stack, joint_source, vt, parts, history, stop_reason, sweeps, config):
+def _extract(stack, vt, parts, history, stop_reason, sweeps, config):
     r = vt.shape[0]
     if r:
         # Split the stacked joint part C @ vt into orthonormal loadings and
         # singular-value-scaled scores via an SVD of the small P x r matrix.
-        svd = truncated_svd(joint_source @ vt.T, r)
+        svd = truncated_svd(stack.stacked @ vt.T, r)
         unit_rows = svd.Vt @ vt
         joint_rows = svd.S[:, None] * unit_rows
         loadings = [np.ascontiguousarray(svd.U[s]) for s in stack.slices]
@@ -389,9 +383,9 @@ def variance_explained(result: JiveResult, blocks) -> VarianceReport:
     The part energies and each block's total are those the fit recorded.
     ``blocks`` (a list or a :class:`BlockStack`) must be the blocks the
     result was fitted to; a different count, or a squared norm that differs
-    from the recorded one beyond rounding, raises ValueError.  With
-    orthogonality enforced the three parts are mutually orthogonal and the
-    percentages sum to 100 up to rounding.
+    from the recorded one beyond rounding, raises ValueError.  The three
+    parts are mutually orthogonal, so the percentages sum to 100 up to
+    rounding.
     """
     if len(blocks) != result.n_blocks:
         raise ValueError(f"result has {result.n_blocks} blocks, got {len(blocks)}")

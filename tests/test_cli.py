@@ -173,6 +173,15 @@ class TestDecompose:
         assert set(model["invariants"]) == {"max_residual_increase", "orthogonality_deviation", "energy_split_deviation"}
         assert model["n_words"] == 40
         assert model["joint_rank"] == 2 and model["individual_ranks"] == [1, 1]
+        # There is one fit mode, so no artifact records one.
+        provenance = json.loads((out / "report.json").read_text())["provenance"]
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert all("enforce_orthogonality" not in d for d in (model, provenance, config))
+        # Model directories that still carry the key read as before.
+        model["enforce_orthogonality"] = True
+        (out / "model.json").write_text(json.dumps(model))
+        assert main(["report", "--model", str(out)]) == 0
+        assert main(["compose", "--model", str(out), "--out-dir", str(tmp_path / "composed")]) == 0
 
     def test_auto_ranks_run(self, input_files, tmp_path, capsys):
         code = main(
@@ -264,9 +273,10 @@ class TestRunContract:
         tampered_fit(lambda result: setattr(result, "orthogonality_deviation", 1e-6))
         assert run_decompose(input_files, tmp_path / "out") == 3
         assert "orthogonality deviation" in capsys.readouterr().err
-        # Without the constraint the parts are not meant to be orthogonal.
-        assert run_decompose(input_files, tmp_path / "literal", ["--no-orthogonality"]) == 0
-
+        # There is no mode that skips the check.
+        with pytest.raises(SystemExit) as exc:
+            run_decompose(input_files, tmp_path / "unchecked", ["--no-orthogonality"])
+        assert exc.value.code == 2
 
     def test_energy_split_violation_exits_3(self, input_files, tmp_path, capsys, tampered_fit):
         out = tmp_path / "clean"
@@ -281,8 +291,10 @@ class TestRunContract:
         assert run_decompose(input_files, out) == 3
         assert "energy deviation" in capsys.readouterr().err
         assert json.loads((out / "model.json").read_text())["invariants"]["energy_split_deviation"] > 1e-8
-        # Without the constraint the parts are not meant to split the energy.
-        assert run_decompose(input_files, tmp_path / "literal", ["--no-orthogonality"]) == 0
+        # There is no mode that skips the check.
+        with pytest.raises(SystemExit) as exc:
+            run_decompose(input_files, tmp_path / "unchecked", ["--no-orthogonality"])
+        assert exc.value.code == 2
 
 
 class TestRanks:
@@ -577,11 +589,22 @@ class TestConfigFile:
         assert config["max_iter"] == 7
         assert json.loads((out / "model.json").read_text())["rank_decision"] is None
 
-    def test_unknown_config_key_rejected(self, input_files, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, overrides, unknown",
+        [
+            # epsilon belongs to decompose, not to ranks.
+            ("ranks", {"seed": 4, "epsilon": 0.5, "jointrank": "1"}, ["epsilon", "jointrank"]),
+            # decompose has a single, orthogonal fit mode.
+            ("decompose", {"no_orthogonality": True}, ["no_orthogonality"]),
+        ],
+        ids=["ranks", "decompose-no-orthogonality"],
+    )
+    def test_unknown_config_key_rejected(self, input_files, tmp_path, capsys, command, overrides, unknown):
         config_path = tmp_path / "config.json"
-        # epsilon belongs to decompose, not to ranks.
-        config_path.write_text(json.dumps({"seed": 4, "epsilon": 0.5, "jointrank": "1"}))
-        code = main(["--config", str(config_path), "ranks", "--input", input_files[0], "--input", input_files[1]])
+        config_path.write_text(json.dumps(overrides))
+        argv = ["--config", str(config_path), command, "--input", input_files[0], "--input", input_files[1]]
+        code = main([*argv, "--out-dir", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "epsilon" in err and "jointrank" in err
+        assert all(key in err for key in unknown)
+        assert not (tmp_path / "out").exists()

@@ -109,12 +109,6 @@ class TestFit:
                 limit = 1e-8 * np.linalg.norm(block)
                 assert np.abs(cross).max() <= limit if cross.size else True
 
-    def test_literal_mode_monotone(self, rng):
-        blocks = [rng.standard_normal((6, 40)), rng.standard_normal((9, 40))]
-        config = JiveConfig(joint_rank=3, individual_ranks=(2, 3), enforce_orthogonality=False, epsilon=1e-9, max_iter=60)
-        result = jive_fit(blocks, config)
-        assert_monotone(result.residual_history)
-
     def test_block_order_symmetry(self):
         model = make_planted((7, 9), 60, 2, (2, 2), noise_sigma=0.02, seed=9)
         config = JiveConfig(joint_rank=2, individual_ranks=(2, 2), epsilon=1e-10)
@@ -240,8 +234,7 @@ def reference_fit(blocks, config, warm=True):
 
     ranks = config.individual_ranks
     vt = fit(stacked, config.joint_rank)[2]
-    source = stacked
-    joint = (source @ vt.T) @ vt
+    joint = (stacked @ vt.T) @ vt
     parts = [fit(arrays[i] - joint[s], r) for i, (s, r) in enumerate(zip(slices, ranks))]
     indiv = np.vstack([d @ h for d, h, _ in parts])
     history = [float(np.sum((stacked - joint - indiv) ** 2))]
@@ -249,19 +242,17 @@ def reference_fit(blocks, config, warm=True):
     while not converged and len(history) <= config.max_iter:
         deflated = stacked - indiv
         vt = fit(deflated, config.joint_rank, vt)[2]
-        source = stacked if config.enforce_orthogonality else deflated
-        joint = (source @ vt.T) @ vt
+        joint = (stacked @ vt.T) @ vt
         for i, (s, r) in enumerate(zip(slices, ranks)):
             leftover = arrays[i] - joint[s]
-            if config.enforce_orthogonality:
-                leftover = leftover - (leftover @ vt.T) @ vt
+            leftover = leftover - (leftover @ vt.T) @ vt
             parts[i] = fit(leftover, r, parts[i][2])
         indiv = np.vstack([d @ h for d, h, _ in parts])
         history.append(float(np.sum((stacked - joint - indiv) ** 2)))
         rel = (history[-2] - history[-1]) / history[-2]
         converged = rel < config.epsilon or history[-1] <= exact_floor
 
-    svd = truncated_svd(source @ vt.T, config.joint_rank)
+    svd = truncated_svd(stacked @ vt.T, config.joint_rank)
     joint_basis = svd.S[:, None] * (svd.Vt @ vt)
     loadings = [svd.U[s] for s in slices]
     pct = []
@@ -275,20 +266,18 @@ class TestCompressedFit:
     """The fit on the compressed stack against the uncompressed reference loop."""
 
     @pytest.mark.parametrize(
-        "dims, n, joint_rank, ranks, orthogonal",
+        "dims, n, joint_rank, ranks",
         [
-            ((8, 12), 90, 2, (2, 1), True),
-            ((6, 8, 10), 80, 2, (1, 2, 1), True),
-            ((8, 12), 90, 2, (2, 1), False),
-            ((30, 40), 50, 3, (3, 4), True),
-            ((20, 30), 50, 3, (2, 2), True),
+            ((8, 12), 90, 2, (2, 1)),
+            ((6, 8, 10), 80, 2, (1, 2, 1)),
+            ((30, 40), 50, 3, (3, 4)),
+            ((20, 30), 50, 3, (2, 2)),
         ],
-        ids=["two-blocks", "three-blocks", "literal", "P>n", "P=n"],
+        ids=["two-blocks", "three-blocks", "P>n", "P=n"],
     )
-    def test_matches_uncompressed_loop(self, dims, n, joint_rank, ranks, orthogonal):
+    def test_matches_uncompressed_loop(self, dims, n, joint_rank, ranks):
         model = make_planted(dims, n, joint_rank, ranks, noise_sigma=0.05, seed=4)
-        config = JiveConfig(joint_rank=joint_rank, individual_ranks=ranks, epsilon=1e-9, max_iter=200,
-                            enforce_orthogonality=orthogonal)
+        config = JiveConfig(joint_rank=joint_rank, individual_ranks=ranks, epsilon=1e-9, max_iter=200)
         history, joint_basis, loadings, scores, pct = reference_fit(model.blocks, config)
         result = jive_fit(model.blocks, config)
         assert result.iterations == len(history) - 1
@@ -358,20 +347,16 @@ class TestRunContract:
         assert stopped.stop_reason == "max_iter" and not stopped.converged and stopped.iterations == 2
         assert jive_init(blocks, config).stop_reason is None
 
-    @pytest.mark.parametrize("orthogonal", [True, False])
-    def test_orthogonality_deviation_matches_word_space(self, orthogonal):
+    def test_orthogonality_deviation_matches_word_space(self):
         model = make_planted((8, 12), 90, 2, (2, 1), noise_sigma=0.05, seed=6)
-        config = JiveConfig(joint_rank=2, individual_ranks=(2, 1), epsilon=1e-9, enforce_orthogonality=orthogonal)
+        config = JiveConfig(joint_rank=2, individual_ranks=(2, 1), epsilon=1e-9)
         result = jive_fit(model.blocks, config)
         direct = max(
             np.abs(result.joint_block(i) @ result.individual_block(i).T).max() / np.sum(block**2)
             for i, block in enumerate(model.blocks)
         )
         assert abs(result.orthogonality_deviation - direct) <= 1e-12
-        if orthogonal:
-            assert result.orthogonality_deviation <= 1e-12
-        else:
-            assert result.orthogonality_deviation > 1e-6
+        assert result.orthogonality_deviation <= 1e-12
 
     def test_max_residual_increase(self, rng):
         blocks = [rng.standard_normal((5, 30)), rng.standard_normal((6, 30))]
