@@ -116,7 +116,9 @@ def _positive_int(text: str) -> int:
 
 
 def _rank_list(text: str, count: int, what: str) -> list[int]:
-    parts = [t.strip() for t in text.split(",") if t.strip()]
+    parts = [t.strip() for t in text.split(",")]
+    if "" in parts:
+        raise ValueError(f"{what} has an empty entry in {text!r}")
     try:
         ranks = [int(t) for t in parts]
     except ValueError:
@@ -143,7 +145,6 @@ def _resolve_ranks(args, stack: BlockStack) -> tuple[int, list[int], RankDecisio
             resamples=args.resamples,
             quantile=args.quantile,
             seed=args.seed,
-            mode=args.rank_mode,
         )
         joint_rank = decision.joint_rank
     else:
@@ -272,7 +273,7 @@ def _write_model(out_dir: Path, args, inputs: list[dict], stack: BlockStack, res
     outputs += [REPORT_FILE, "fit_log.txt", MODEL_FILE]
 
     config_echo = {k: record[k] for k in CONFIG_KEYS}
-    config_echo.update(energy=args.energy, resamples=args.resamples, quantile=args.quantile, rank_mode=args.rank_mode)
+    config_echo.update(energy=args.energy, resamples=args.resamples, quantile=args.quantile)
     _write_manifest(out_dir, "decompose", config_echo, inputs, outputs)
     return record, report
 
@@ -293,7 +294,6 @@ def cmd_ranks(args) -> int:
         resamples=args.resamples,
         quantile=args.quantile,
         seed=args.seed,
-        mode=args.rank_mode,
     )
     payload = asdict(decision)
     payload["block_names"] = stack.names
@@ -309,7 +309,6 @@ def cmd_ranks(args) -> int:
             "resamples": args.resamples,
             "quantile": args.quantile,
             "seed": args.seed,
-            "rank_mode": args.rank_mode,
         }
         _write_manifest(out_dir, "ranks", config_echo, input_records, ["ranks.json"])
     return EXIT_OK
@@ -414,8 +413,6 @@ def cmd_eval(args) -> int:
     matrices, input_records = _load_inputs(args.input)
     train_corpus = read_corpus_tsv(args.train, split="train")
     test_corpus = read_corpus_tsv(args.test, split="test")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for matrix in matrices:
         model = train_linear(train_corpus, matrix, l2=args.l2)
@@ -423,6 +420,8 @@ def cmd_eval(args) -> int:
         row = json.dumps(result.to_json_dict(), sort_keys=True)
         rows.append(row)
         print(row)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "results.jsonl").open("a", encoding="utf-8") as fh:
         for row in rows:
             fh.write(row + "\n")
@@ -456,7 +455,6 @@ def _add_rank_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--energy", type=float, default=0.95, help="energy fraction for each block's auto signal rank")
     parser.add_argument("--resamples", type=_positive_int, default=100, help="random draws for the selection null")
     parser.add_argument("--quantile", type=float, default=0.95, help="null quantile for the selection threshold")
-    parser.add_argument("--rank-mode", choices=("wedin", "null"), default="wedin", help="joint-rank threshold rule")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -511,6 +509,16 @@ def _command_parser(parser: argparse.ArgumentParser, command: str) -> argparse.A
     return action.choices[command]
 
 
+def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, value):
+    """A config value checked and converted as the same flag's command-line
+    text would be (JSON text for a non-string); a list gives a repeatable
+    flag one text per item."""
+    repeated = isinstance(action, argparse._AppendAction)
+    items = value if repeated and isinstance(value, list) else [value]
+    parsed = [parser._get_values(action, [v if isinstance(v, str) else json.dumps(v)]) for v in items]
+    return parsed if repeated else parsed[0]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args, remaining = parser.parse_known_args(argv)
@@ -523,15 +531,21 @@ def main(argv: list[str] | None = None) -> int:
         if not isinstance(overrides, dict):
             print("error: config file must hold a JSON object", file=sys.stderr)
             return EXIT_USAGE
-        # Defaults go on the chosen subcommand's parser: its own defaults would
-        # overwrite any set on the top-level parser.
         command_parser = _command_parser(parser, args.command)
+        actions = {a.dest: a for a in command_parser._actions if a.dest != "help"}
         overrides = {k.replace("-", "_"): v for k, v in overrides.items()}
-        unknown = sorted(set(overrides) - {a.dest for a in command_parser._actions if a.dest != "help"})
+        unknown = sorted(set(overrides) - set(actions))
         if unknown:
             print(f"error: config keys not accepted by {args.command}: {', '.join(unknown)}", file=sys.stderr)
             return EXIT_USAGE
-        command_parser.set_defaults(**overrides)
+        try:
+            defaults = {k: _config_value(command_parser, actions[k], v) for k, v in overrides.items()}
+        except argparse.ArgumentError as exc:
+            print(f"error: config file: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        # Defaults go on the chosen subcommand's parser: its own defaults would
+        # overwrite any set on the top-level parser.
+        command_parser.set_defaults(**defaults)
         args = parser.parse_args(argv)
     elif remaining:
         args = parser.parse_args(argv)

@@ -180,8 +180,8 @@ def train_linear(train: LabeledCorpus, embedding: EmbeddingMatrix, l2: float = 1
     ESL section 4.3); the bias adds the log class priors.  The centring and
     scaling are folded into the returned weights.
     """
-    if l2 < 0:
-        raise ValueError(f"l2 penalty must be >= 0, got {l2}")
+    if not (np.isfinite(l2) and l2 >= 0):
+        raise ValueError(f"l2 penalty must be finite and >= 0, got {l2}")
     if train.class_count < 2:
         raise ValueError("corpus has a single class; nothing to separate")
 

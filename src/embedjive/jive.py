@@ -70,8 +70,8 @@ class JiveConfig:
     max_iter: int = 500
 
     def validate(self, block_shapes: Sequence[tuple[int, int]]) -> None:
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if len(self.individual_ranks) != len(block_shapes):

@@ -26,9 +26,9 @@ Each block's individual rank is its signal rank minus the joint rank, the
 rule of the same AJIVE paper: no second energy rule runs on the leftover
 after the joint space is projected off, which is mostly noise.
 
-The exact thresholding recipe is an implementation choice of this package;
-``RankDecision.method`` records which rule produced a decision so downstream
-reports stay self-describing.
+There is one rule, ``tau = max(tau_null, tau_wedin)``.  A decision records
+both pieces and the spectrum, so what the Monte Carlo null alone would pick,
+the count of spectrum values above ``tau_null``, can be read off any decision.
 """
 
 from __future__ import annotations
@@ -49,26 +49,19 @@ class RankDecision:
     signal_ranks: list[int]
     tau: float
     tau_null: float
+    tau_wedin: float
+    wedin_sin2: list[float]
     spectrum: list[float]
-    method: str
     resamples: int
     quantile: float
     seed: int
     individual_ranks: list[int]
-    tau_wedin: float | None = None
-    wedin_sin2: list[float] | None = None
 
 
-def estimate_signal_rank(block, k: int | None = None, energy: float = 0.95) -> int:
-    """Per-block signal rank: explicit ``k``, or the smallest rank whose
-    leading singular values capture at least ``energy`` of the block's
-    squared Frobenius norm."""
+def estimate_signal_rank(block, energy: float = 0.95) -> int:
+    """Per-block signal rank: the smallest rank whose leading singular values
+    capture at least ``energy`` of the block's squared Frobenius norm."""
     arr, _ = BlockStack.checked_block(block)
-    limit = min(arr.shape)
-    if k is not None:
-        if not 1 <= k <= limit:
-            raise ValueError(f"signal rank {k} out of range for a {arr.shape[0]}x{arr.shape[1]} block")
-        return int(k)
     if not 0 < energy <= 1:
         raise ValueError(f"energy fraction must be in (0, 1], got {energy}")
     sq = singular_values(arr) ** 2
@@ -77,7 +70,7 @@ def estimate_signal_rank(block, k: int | None = None, energy: float = 0.95) -> i
         raise ValueError("zero block has no signal rank")
     cumulative = np.cumsum(sq) / total
     t = int(np.searchsorted(cumulative, energy - 1e-12)) + 1
-    return min(t, limit)
+    return min(t, min(arr.shape))
 
 
 def select_joint_rank(
@@ -86,13 +79,10 @@ def select_joint_rank(
     resamples: int = 100,
     quantile: float = 0.95,
     seed: int = 0,
-    mode: str = "wedin",
 ) -> RankDecision:
-    """Choose the joint rank from the stacked-basis squared singular values.
-
-    ``mode="wedin"`` (default) thresholds at the larger of the Monte Carlo
-    null quantile and the Wedin-type floor; ``mode="null"`` uses the Monte
-    Carlo null alone.  Deterministic given ``seed``: the random stream is
+    """Choose the joint rank from the stacked-basis squared singular values,
+    thresholded at the larger of the Monte Carlo null quantile and the
+    Wedin-type floor.  Deterministic given ``seed``: the random stream is
     partitioned per draw, so results do not depend on evaluation order.
 
     ``blocks`` is a :class:`BlockStack`, or a list that is compressed first.
@@ -116,8 +106,6 @@ def select_joint_rank(
         raise ValueError(f"resamples must be >= 10, got {resamples}")
     if not 0 < quantile < 1:
         raise ValueError(f"quantile must be in (0, 1), got {quantile}")
-    if mode not in ("wedin", "null"):
-        raise ValueError(f"unknown mode {mode!r}; expected 'wedin' or 'null'")
 
     # Full SVDs: the signal rows come first, the residual spectrum after them.
     svds = [truncated_svd(arr, min(arr.shape)) for arr in arrays]
@@ -137,19 +125,13 @@ def select_joint_rank(
     # requested coverage, the conservative convention for a threshold.
     tau_null = float(np.quantile(null_max, quantile, method="higher"))
 
-    tau_wedin = None
-    wedin_sin2 = None
-    if mode == "wedin":
-        wedin_sin2 = [
-            _wedin_sin_bound(svds[i], t[i], resamples, quantile, block_seqs[i], n) ** 2
-            for i in range(k_blocks)
-        ]
-        tau_wedin = max(0.0, k_blocks - float(sum(wedin_sin2)))
-        tau = max(tau_null, tau_wedin)
-    else:
-        tau = tau_null
+    wedin_sin2 = [
+        _wedin_sin_bound(svds[i], t[i], resamples, quantile, block_seqs[i], n) ** 2
+        for i in range(k_blocks)
+    ]
+    tau_wedin = max(0.0, k_blocks - float(sum(wedin_sin2)))
     # A floor of exactly K would reject even numerically perfect agreement.
-    tau = min(tau, k_blocks * (1.0 - 1e-12))
+    tau = min(max(tau_null, tau_wedin), k_blocks * (1.0 - 1e-12))
 
     joint_rank = min(int((spectrum > tau).sum()), min(t))
     return RankDecision(
@@ -160,7 +142,6 @@ def select_joint_rank(
         tau_wedin=tau_wedin,
         wedin_sin2=wedin_sin2,
         spectrum=[float(v) for v in spectrum],
-        method="wedin-resample" if mode == "wedin" else "mc-null",
         resamples=resamples,
         quantile=quantile,
         seed=seed,

@@ -207,7 +207,7 @@ class TestDecompose:
         sidecar = json.loads((out_a / "model.json").read_text())
         decision = sidecar["rank_decision"]
         assert decision["tau"] == sidecar["tau"] and decision["joint_rank"] == sidecar["joint_rank"]
-        assert decision["seed"] == 5 and decision["method"] == "wedin-resample"
+        assert decision["seed"] == 5 and "method" not in decision
         assert len(decision["signal_ranks"]) == 2 and len(decision["wedin_sin2"]) == 2
         assert len(decision["spectrum"]) == sum(decision["signal_ranks"])
         assert decision["tau_null"] is not None and decision["tau_wedin"] is not None
@@ -216,6 +216,10 @@ class TestDecompose:
         capsys.readouterr()
         assert json.loads((pinned / "model.json").read_text())["rank_decision"] is None
         assert decision["individual_ranks"] == sidecar["individual_ranks"]
+        # There is one joint-rank rule and no flag that picks another.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--rank-mode", "null", "--out-dir", str(tmp_path / "null")])
+        assert exc.value.code == 2
 
     def test_auto_ranks_recover_planted(self, tmp_path, capsys):
         # The individual ranks are the signal ranks minus the joint rank.  A
@@ -590,21 +594,33 @@ class TestConfigFile:
         assert json.loads((out / "model.json").read_text())["rank_decision"] is None
 
     @pytest.mark.parametrize(
-        "command, overrides, unknown",
+        "command, overrides, named",
         [
             # epsilon belongs to decompose, not to ranks.
             ("ranks", {"seed": 4, "epsilon": 0.5, "jointrank": "1"}, ["epsilon", "jointrank"]),
             # decompose has a single, orthogonal fit mode.
             ("decompose", {"no_orthogonality": True}, ["no_orthogonality"]),
+            # There is one joint-rank rule.
+            ("ranks", {"rank_mode": "null"}, ["rank_mode"]),
+            ("decompose", {"rank-mode": "wedin"}, ["rank_mode"]),
+            # A value is checked as the same flag on the command line would be.
+            ("decompose", {"epsilon": None}, ["--epsilon", "null"]),
+            ("ranks", {"seed": 1.5}, ["--seed", "1.5"]),
+            ("decompose", {"max_iter": 2.5}, ["--max-iter", "2.5"]),
+            # A rank list is checked as the command runs, naming its flag.
+            ("decompose", {"joint_rank": "1", "individual_ranks": "1,,2"}, ["--individual-ranks has an empty entry"]),
         ],
-        ids=["ranks", "decompose-no-orthogonality"],
+        ids=[
+            "ranks", "decompose-no-orthogonality", "ranks-rank-mode", "decompose-rank-mode",
+            "epsilon-null", "seed-float", "max-iter-float", "empty-rank-entry",
+        ],
     )
-    def test_unknown_config_key_rejected(self, input_files, tmp_path, capsys, command, overrides, unknown):
+    def test_unknown_config_key_rejected(self, input_files, tmp_path, capsys, command, overrides, named):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(overrides))
         argv = ["--config", str(config_path), command, "--input", input_files[0], "--input", input_files[1]]
         code = main([*argv, "--out-dir", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
-        assert all(key in err for key in unknown)
+        assert all(key in err for key in named)
         assert not (tmp_path / "out").exists()

@@ -147,8 +147,9 @@ class TestTrainLinear:
 
     def test_bad_hyperparameters(self):
         corpus, embedding = separable_corpus()
-        with pytest.raises(ValueError, match="l2"):
-            train_linear(corpus, embedding, l2=-1.0)
+        for l2 in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="l2"):
+                train_linear(corpus, embedding, l2=l2)
         # One record per class leaves no within-class scatter to invert.
         lone = LabeledCorpus(labels=np.array([0, 1]), texts=["a", "b"])
         with pytest.raises(ValueError, match="singular"):

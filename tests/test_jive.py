@@ -145,8 +145,9 @@ class TestFit:
 
     def test_config_validation(self, rng):
         blocks = [rng.standard_normal((3, 20)), rng.standard_normal((3, 20))]
-        with pytest.raises(ValueError, match="epsilon"):
-            jive_fit(blocks, JiveConfig(joint_rank=1, individual_ranks=(0, 0), epsilon=0.0))
+        for epsilon in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                jive_fit(blocks, JiveConfig(joint_rank=1, individual_ranks=(0, 0), epsilon=epsilon))
         with pytest.raises(ValueError, match="max_iter"):
             jive_fit(blocks, JiveConfig(joint_rank=1, individual_ranks=(0, 0), max_iter=0))
         with pytest.raises(ValueError, match="individual ranks"):

@@ -26,19 +26,12 @@ class TestEstimateSignalRank:
     def test_flat_spectrum(self):
         assert estimate_signal_rank(np.eye(4), energy=0.5) == 2
 
-    def test_explicit_passthrough(self, rng):
-        assert estimate_signal_rank(rng.standard_normal((5, 9)), k=4) == 4
-
     def test_against_cumulative_scan_oracle(self, rng):
         m = rng.standard_normal((10, 200))
         sv = np.linalg.svd(m, compute_uv=False)
         energies = np.cumsum(sv**2) / np.sum(sv**2)
         oracle = int(np.argmax(energies >= 0.95)) + 1
         assert estimate_signal_rank(m, energy=0.95) == oracle
-
-    def test_explicit_out_of_range(self, rng):
-        with pytest.raises(ValueError, match="out of range"):
-            estimate_signal_rank(rng.standard_normal((5, 9)), k=6)
 
     def test_bad_energy(self, rng):
         with pytest.raises(ValueError, match="energy"):
@@ -65,7 +58,7 @@ class TestSelectJointRank:
         q = np.linalg.qr(rng.standard_normal((n, 10)))[0]
         b1 = rng.standard_normal((5, 5)) @ q[:, :5].T
         b2 = rng.standard_normal((5, 5)) @ q[:, 5:].T
-        decision = select_joint_rank([b1, b2], (5, 5), seed=1, mode="null")
+        decision = select_joint_rank([b1, b2], (5, 5), seed=1)
         assert max(decision.spectrum) < 1.5
         assert decision.joint_rank == 0
 
@@ -109,8 +102,8 @@ class TestSelectJointRank:
             select_joint_rank([x, y], (2, 2), resamples=5, seed=0)
         with pytest.raises(ValueError, match="quantile"):
             select_joint_rank([x, y], (2, 2), quantile=1.0, seed=0)
-        with pytest.raises(ValueError, match="mode"):
-            select_joint_rank([x, y], (2, 2), mode="bogus", seed=0)
+        with pytest.raises(ValueError, match="signal rank 7 out of range for block 0"):
+            select_joint_rank([x, y], (7, 2), seed=0)
 
     def test_signal_rank_above_numerical_rank(self, rng):
         # b2 has exact rank 3: a 4th "signal" direction would be a null vector.
@@ -119,14 +112,6 @@ class TestSelectJointRank:
         with pytest.raises(ValueError, match=r"signal rank 4 exceeds the numerical rank 3 of block 1 \(block1\)"):
             select_joint_rank(blocks, (5, 4), seed=7)
         assert select_joint_rank(blocks, (5, 3), seed=7).joint_rank == 3
-
-    def test_metadata_flags_rule(self, rng):
-        x = rng.standard_normal((6, 150))
-        y = rng.standard_normal((6, 150))
-        wedin = select_joint_rank([x, y], (3, 3), seed=0, mode="wedin")
-        null = select_joint_rank([x, y], (3, 3), seed=0, mode="null")
-        assert wedin.method == "wedin-resample" and wedin.tau_wedin is not None
-        assert null.method == "mc-null" and null.tau_wedin is None
 
 
 def _reference_null_max(n, ranks, draws, rng):
@@ -185,8 +170,7 @@ class TestSamplersMatchExplicitDraws:
         assert 0.0 < reference.max() < 1.0
         _assert_same_law(sample, reference)
 
-    @pytest.mark.parametrize("mode", ["null", "wedin"])
-    def test_no_qr_has_vocabulary_rows(self, rng, monkeypatch, mode):
+    def test_no_qr_has_vocabulary_rows(self, rng, monkeypatch):
         n = 300
         shapes = []
         plain_qr = np.linalg.qr
@@ -198,14 +182,13 @@ class TestSamplersMatchExplicitDraws:
         # The stack's one compression QR is n rows tall; the samplers' are not.
         stack = BlockStack([rng.standard_normal((8, n)), rng.standard_normal((10, n))])
         monkeypatch.setattr(np.linalg, "qr", spy)
-        select_joint_rank(stack, (3, 3), resamples=20, seed=0, mode=mode)
+        select_joint_rank(stack, (3, 3), resamples=20, seed=0)
         assert shapes
         assert all(shape[0] != n for shape in shapes)
 
-    @pytest.mark.parametrize("mode", ["null", "wedin"])
-    def test_signal_ranks_fill_the_vocabulary(self, rng, mode):
+    def test_signal_ranks_fill_the_vocabulary(self, rng):
         blocks = [rng.standard_normal((6, 10)), rng.standard_normal((7, 10))]
-        decision = select_joint_rank(blocks, (5, 5), resamples=20, seed=0, mode=mode)
+        decision = select_joint_rank(blocks, (5, 5), resamples=20, seed=0)
         assert np.isfinite(decision.tau)
         assert np.isfinite(decision.spectrum).all()
 
@@ -236,7 +219,7 @@ def test_wedin_right_term_decides_at_square_blocks(rng):
     assert bound > left_only
 
 
-def _word_wide_decision(blocks, ranks, seed, mode, resamples=100, quantile=0.95):
+def _word_wide_decision(blocks, ranks, seed, resamples=100, quantile=0.95):
     """``select_joint_rank``'s spectrum, threshold and Wedin sines computed
     from the module's helpers on the n-wide blocks, on the same spawned seeds."""
     n, k = blocks[0].shape[1], len(blocks)
@@ -245,14 +228,11 @@ def _word_wide_decision(blocks, ranks, seed, mode, resamples=100, quantile=0.95)
     spectrum = np.clip(np.linalg.eigvalsh(stacked.T @ stacked)[::-1], 0.0, None)
     null_seq, *block_seqs = np.random.SeedSequence(seed).spawn(1 + k)
     tau = float(np.quantile(_null_spectrum_max(n, list(ranks), resamples, null_seq), quantile, method="higher"))
-    wedin_sin2 = None
-    if mode == "wedin":
-        wedin_sin2 = [
-            _wedin_sin_bound(svd, t, resamples, quantile, seq, n) ** 2
-            for svd, t, seq in zip(svds, ranks, block_seqs)
-        ]
-        tau = max(tau, k - sum(wedin_sin2))
-    tau = min(tau, k * (1.0 - 1e-12))
+    wedin_sin2 = [
+        _wedin_sin_bound(svd, t, resamples, quantile, seq, n) ** 2
+        for svd, t, seq in zip(svds, ranks, block_seqs)
+    ]
+    tau = min(max(tau, k - sum(wedin_sin2)), k * (1.0 - 1e-12))
     return spectrum, tau, min(int((spectrum > tau).sum()), min(ranks)), wedin_sin2
 
 
@@ -262,19 +242,17 @@ class TestCompressedStack:
     # The criterion-4 shape, and one whose compressed width P = 21 is one more
     # than the first block's p = 20: there a Wedin floor drawn with P in place
     # of n lets the right (n-side) term decide some draws and moves the bound.
-    @pytest.mark.parametrize("mode", ["null", "wedin"])
     @pytest.mark.parametrize("dims, ranks", [((20, 20), (5, 5)), ((20, 1), (5, 1))])
-    def test_joint_rank_decision_matches(self, mode, dims, ranks):
+    def test_joint_rank_decision_matches(self, dims, ranks):
         rng = np.random.default_rng(7_002_000)
         blocks = [rng.standard_normal((p, 2000)) for p in dims]
         blocks[1][:1] += 2.0 * blocks[0][:1]
-        spectrum, tau, joint_rank, wedin_sin2 = _word_wide_decision(blocks, ranks, 7_007_000, mode)
-        compressed = select_joint_rank(BlockStack(blocks), ranks, seed=7_007_000, mode=mode)
+        spectrum, tau, joint_rank, wedin_sin2 = _word_wide_decision(blocks, ranks, 7_007_000)
+        compressed = select_joint_rank(BlockStack(blocks), ranks, seed=7_007_000)
         assert np.abs(np.array(compressed.spectrum) - spectrum).max() <= 1e-12
         assert abs(compressed.tau - tau) <= 1e-12
         assert compressed.joint_rank == joint_rank
-        if mode == "wedin":
-            assert np.abs(np.array(compressed.wedin_sin2) - wedin_sin2).max() <= 1e-12
+        assert np.abs(np.array(compressed.wedin_sin2) - wedin_sin2).max() <= 1e-12
 
     def test_signal_ranks_match(self, rng):
         blocks = [rng.standard_normal((10, 200)) * np.linspace(3, 0.1, 10)[:, None], rng.standard_normal((12, 200))]
