@@ -27,14 +27,19 @@ from embedjive.compose import (
     report_tsv,
     selected_parts,
     standard_compositions,
-    valid_part_names,
     write_report,
 )
 from embedjive.embed_io import EmbeddingMatrix, align_vocabularies, parse_embedding, preprocess, write_embedding
 from embedjive.evaluate import evaluate, read_corpus_tsv, train_linear
 from embedjive.jive import BlockStack, JiveConfig, jive_fit, variance_explained
 from embedjive.linalg import NumericError
-from embedjive.rank_select import RankDecision, estimate_signal_rank, select_individual_ranks, select_joint_rank
+from embedjive.rank_select import (
+    RankDecision,
+    check_settings,
+    estimate_signal_rank,
+    select_individual_ranks,
+    select_joint_rank,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -109,16 +114,24 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[dict
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
-def _rank_list(text: str, count: int, what: str) -> list[int]:
+def _entries(text: str, what: str) -> list[str]:
     parts = [t.strip() for t in text.split(",")]
     if "" in parts:
         raise ValueError(f"{what} has an empty entry in {text!r}")
+    return parts
+
+
+def _rank_list(text: str, count: int, what: str) -> list[int]:
+    parts = _entries(text, what)
     try:
         ranks = [int(t) for t in parts]
     except ValueError:
@@ -128,10 +141,16 @@ def _rank_list(text: str, count: int, what: str) -> list[int]:
     return ranks
 
 
-def _prepared_blocks(matrices: list[EmbeddingMatrix]):
+def _input_stack(args):
+    """Check the rank-selection settings, then read, align, preprocess and
+    compress the ``--input`` blocks of ``ranks`` or ``decompose``: once, since
+    the rank rules and every fit sweep reuse the compressed stack."""
+    if len(args.input) < 2:
+        raise ValueError(f"{args.command} needs at least 2 --input embeddings")
+    check_settings(args.energy, args.resamples, args.quantile)
+    matrices, input_records = _load_inputs(args.input)
     aligned, align_report = align_vocabularies(matrices)
-    blocks = [preprocess(m) for m in aligned]
-    return blocks, align_report
+    return BlockStack([preprocess(m) for m in aligned]), input_records, align_report
 
 
 def _resolve_ranks(args, stack: BlockStack) -> tuple[int, list[int], RankDecision | None]:
@@ -186,12 +205,7 @@ def _invariant_violations(record: dict) -> list[str]:
 
 
 def cmd_decompose(args) -> int:
-    if len(args.input) < 2:
-        raise ValueError("decompose needs at least 2 --input embeddings")
-    matrices, input_records = _load_inputs(args.input)
-    blocks, align_report = _prepared_blocks(matrices)
-    # Compressed once: the rank policies and every fit sweep reuse it.
-    stack = BlockStack(blocks)
+    stack, input_records, align_report = _input_stack(args)
     joint_rank, individual_ranks, decision = _resolve_ranks(args, stack)
     if joint_rank == 0 and not any(individual_ranks):
         raise ValueError("empty model: joint rank 0 and all individual ranks 0")
@@ -279,11 +293,7 @@ def _write_model(out_dir: Path, args, inputs: list[dict], stack: BlockStack, res
 
 
 def cmd_ranks(args) -> int:
-    if len(args.input) < 2:
-        raise ValueError("ranks needs at least 2 --input embeddings")
-    matrices, input_records = _load_inputs(args.input)
-    blocks, _ = _prepared_blocks(matrices)
-    stack = BlockStack(blocks)
+    stack, input_records, _ = _input_stack(args)
     if args.signal_ranks == "auto":
         signal_ranks = _signal_ranks(stack, args.energy)
     else:
@@ -378,9 +388,7 @@ def cmd_compose(args) -> int:
     if args.compositions.strip() == "all":
         specs = standard_compositions(n_blocks)
     else:
-        specs = [parse_composition(token, n_blocks) for token in args.compositions.split(",") if token.strip()]
-    if not specs:
-        raise ValueError(f"no compositions requested; valid parts: {', '.join(valid_part_names(n_blocks))}")
+        specs = [parse_composition(token, n_blocks) for token in _entries(args.compositions, "--compositions")]
     names = [s.name for s in specs]
     repeated = sorted({n for n in names if names.count(n) > 1})
     if repeated:
@@ -453,16 +461,17 @@ def _add_input_flag(parser: argparse.ArgumentParser) -> None:
 
 def _add_rank_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--energy", type=float, default=0.95, help="energy fraction for each block's auto signal rank")
-    parser.add_argument("--resamples", type=_positive_int, default=100, help="random draws for the selection null")
+    parser.add_argument("--resamples", type=int, default=100, help="random draws for the selection null")
     parser.add_argument("--quantile", type=float, default=0.95, help="null quantile for the selection threshold")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="embedjive", description=__doc__.splitlines()[0])
-    parser.add_argument("--config", type=Path, default=None, help="JSON file with defaults; flags override it")
+    # No abbreviations: a flag or config key has one spelling ("out" is not --out-dir).
+    parser = argparse.ArgumentParser(prog="embedjive", description=__doc__.splitlines()[0], allow_abbrev=False)
+    parser.add_argument("--config", help="JSON object of the command's flags; explicit flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decompose", help="fit the joint/individual decomposition and write factors")
+    p = sub.add_parser("decompose", allow_abbrev=False, help="fit the joint/individual decomposition and write factors")
     _add_input_flag(p)
     p.add_argument("--joint-rank", default="auto", help="joint rank, or 'auto'")
     p.add_argument("--individual-ranks", default="auto", help="comma-separated individual ranks, or 'auto'")
@@ -473,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rank_flags(p)
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("ranks", help="print the joint-rank decision without fitting")
+    p = sub.add_parser("ranks", allow_abbrev=False, help="print the joint-rank decision without fitting")
     _add_input_flag(p)
     p.add_argument("--signal-ranks", default="auto", help="comma-separated per-block signal ranks, or 'auto'")
     p.add_argument("--seed", type=int, default=0)
@@ -481,14 +490,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rank_flags(p)
     p.set_defaults(func=cmd_ranks)
 
-    p = sub.add_parser("compose", help="stack fitted factors into new embedding files")
+    p = sub.add_parser("compose", allow_abbrev=False, help="stack fitted factors into new embedding files")
     p.add_argument("--model", required=True, help="directory written by decompose")
     p.add_argument("--compositions", default="all", help="comma-separated specs like joint+ind0, or 'all'")
     p.add_argument("--format", choices=("glove-text", "word2vec-text"), default="glove-text")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("eval", help="fit and score a linear discriminant classifier per embedding")
+    p = sub.add_parser("eval", allow_abbrev=False, help="fit and score a linear discriminant classifier per embedding")
     _add_input_flag(p)
     p.add_argument("--train", required=True, help="training corpus, label<TAB>text per line")
     p.add_argument("--test", required=True, help="test corpus, label<TAB>text per line")
@@ -496,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("report", help="re-emit the variance report from a model directory")
+    p = sub.add_parser("report", allow_abbrev=False, help="re-emit the variance report from a model directory")
     p.add_argument("--model", required=True)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.add_argument("--out", default=None, help="output file; stdout if omitted")
@@ -504,52 +513,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_parser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return action.choices[command]
-
-
-def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, value):
-    """A config value checked and converted as the same flag's command-line
-    text would be (JSON text for a non-string); a list gives a repeatable
-    flag one text per item."""
-    repeated = isinstance(action, argparse._AppendAction)
-    items = value if repeated and isinstance(value, list) else [value]
-    parsed = [parser._get_values(action, [v if isinstance(v, str) else json.dumps(v)]) for v in items]
-    return parsed if repeated else parsed[0]
+def _config_flags(path: str) -> list[str]:
+    """The config file's JSON object as command-line text: ``--<key>=<value>``
+    per key (``_`` read as ``-``), a non-string value as its JSON text, and
+    one ``--input=`` per item of a listed ``input``."""
+    try:
+        overrides = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read config file: {exc}") from None
+    if not isinstance(overrides, dict):
+        raise ValueError("config file must hold a JSON object")
+    flags = []
+    for key, value in overrides.items():
+        flag = "--" + key.replace("_", "-")
+        items = value if flag == "--input" and isinstance(value, list) else [value]
+        flags += [f"{flag}={v if isinstance(v, str) else json.dumps(v)}" for v in items]
+    return flags
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args, remaining = parser.parse_known_args(argv)
-    if args.config is not None:
-        try:
-            overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config file: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        if not isinstance(overrides, dict):
-            print("error: config file must hold a JSON object", file=sys.stderr)
-            return EXIT_USAGE
-        command_parser = _command_parser(parser, args.command)
-        actions = {a.dest: a for a in command_parser._actions if a.dest != "help"}
-        overrides = {k.replace("-", "_"): v for k, v in overrides.items()}
-        unknown = sorted(set(overrides) - set(actions))
-        if unknown:
-            print(f"error: config keys not accepted by {args.command}: {', '.join(unknown)}", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            defaults = {k: _config_value(command_parser, actions[k], v) for k, v in overrides.items()}
-        except argparse.ArgumentError as exc:
-            print(f"error: config file: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        # Defaults go on the chosen subcommand's parser: its own defaults would
-        # overwrite any set on the top-level parser.
-        command_parser.set_defaults(**defaults)
-        args = parser.parse_args(argv)
-    elif remaining:
-        args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Before the command name the top-level parser takes only --config (and -h).
+    command_at, config = 0, None
+    while command_at < len(argv):
+        if argv[command_at] == "--config" and command_at + 1 < len(argv):
+            config, command_at = argv[command_at + 1], command_at + 2
+        elif argv[command_at].startswith("--config="):
+            config, command_at = argv[command_at].split("=", 1)[1], command_at + 1
+        else:
+            break
     try:
+        if config is not None:
+            # After the command name and before its own flags: explicit flags
+            # win, and config inputs come before explicit ones.
+            argv[command_at + 1:command_at + 1] = _config_flags(config)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (NumericError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -58,12 +58,23 @@ class RankDecision:
     individual_ranks: list[int]
 
 
+def check_settings(energy: float = 0.95, resamples: int = 100, quantile: float = 0.95) -> None:
+    """Raise ValueError unless ``0 < energy <= 1``, ``resamples >= 10`` and
+    ``0 < quantile < 1``: the settings of the signal-rank and joint-rank
+    rules, checked whether or not a run goes on to use them."""
+    if not 0 < energy <= 1:
+        raise ValueError(f"energy fraction must be in (0, 1], got {energy}")
+    if resamples < 10:
+        raise ValueError(f"resamples must be >= 10, got {resamples}")
+    if not 0 < quantile < 1:
+        raise ValueError(f"quantile must be in (0, 1), got {quantile}")
+
+
 def estimate_signal_rank(block, energy: float = 0.95) -> int:
     """Per-block signal rank: the smallest rank whose leading singular values
     capture at least ``energy`` of the block's squared Frobenius norm."""
     arr, _ = BlockStack.checked_block(block)
-    if not 0 < energy <= 1:
-        raise ValueError(f"energy fraction must be in (0, 1], got {energy}")
+    check_settings(energy=energy)
     sq = singular_values(arr) ** 2
     total = float(sq.sum())
     if total == 0.0:
@@ -102,10 +113,7 @@ def select_joint_rank(
             raise ValueError(f"signal rank {t_i} out of range for block {i}")
     if sum(t) > n:
         raise ValueError(f"stacked bases need sum(signal ranks) <= {n}, got {sum(t)}")
-    if resamples < 10:
-        raise ValueError(f"resamples must be >= 10, got {resamples}")
-    if not 0 < quantile < 1:
-        raise ValueError(f"quantile must be in (0, 1), got {quantile}")
+    check_settings(resamples=resamples, quantile=quantile)
 
     # Full SVDs: the signal rows come first, the residual spectrum after them.
     svds = [truncated_svd(arr, min(arr.shape)) for arr in arrays]

@@ -70,6 +70,14 @@ def planted_inputs(tmp_path, dims, n, joint_rank, individual_ranks, seed):
     return paths
 
 
+def exit_code(argv):
+    """``main``'s exit code, whether returned or raised by argparse as SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def run_decompose(paths, out_dir, extra=()):
     return main(
         [
@@ -233,6 +241,15 @@ class TestDecompose:
         assert model["rank_decision"]["signal_ranks"] == [12, 14]
         assert model["joint_rank"] == 8 and model["individual_ranks"] == [4, 6]
         assert model["stop_reason"] == "tolerance"
+
+    def test_flags_take_no_abbreviation(self, input_files, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["decompose", "--input", input_files[0], "--input", input_files[1], "--joint", "2", "--indiv", "1,1"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--out-dir" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunContract:
@@ -411,10 +428,14 @@ class TestCompose:
 
     def test_repeated_composition_rejected(self, model_dir, tmp_path, capsys):
         out = tmp_path / "x"
-        argv = ["compose", "--model", str(model_dir), "--compositions", "joint,ind0, joint", "--out-dir", str(out)]
-        assert main(argv) == 2
-        assert "repeat 'joint'" in capsys.readouterr().err
-        assert not out.exists()
+        for compositions, named in [
+            ("joint,ind0, joint", "repeat 'joint'"),
+            ("joint,,ind0", "--compositions has an empty entry in 'joint,,ind0'"),
+        ]:
+            argv = ["compose", "--model", str(model_dir), "--compositions", compositions, "--out-dir", str(out)]
+            assert main(argv) == 2
+            assert named in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["glove-text", "word2vec-text"])
     def test_splice_matches_numeric_compose(self, model_dir, tmp_path, capsys, fmt):
@@ -599,28 +620,76 @@ class TestConfigFile:
             # epsilon belongs to decompose, not to ranks.
             ("ranks", {"seed": 4, "epsilon": 0.5, "jointrank": "1"}, ["epsilon", "jointrank"]),
             # decompose has a single, orthogonal fit mode.
-            ("decompose", {"no_orthogonality": True}, ["no_orthogonality"]),
+            ("decompose", {"no_orthogonality": True}, ["--no-orthogonality"]),
             # There is one joint-rank rule.
-            ("ranks", {"rank_mode": "null"}, ["rank_mode"]),
-            ("decompose", {"rank-mode": "wedin"}, ["rank_mode"]),
+            ("ranks", {"rank_mode": "null"}, ["--rank-mode"]),
+            ("decompose", {"rank-mode": "wedin"}, ["--rank-mode"]),
             # A value is checked as the same flag on the command line would be.
             ("decompose", {"epsilon": None}, ["--epsilon", "null"]),
             ("ranks", {"seed": 1.5}, ["--seed", "1.5"]),
-            ("decompose", {"max_iter": 2.5}, ["--max-iter", "2.5"]),
+            ("decompose", {"max_iter": 2.5}, ["--max-iter", "2.5", "expected a positive integer, got '2.5'"]),
             # A rank list is checked as the command runs, naming its flag.
             ("decompose", {"joint_rank": "1", "individual_ranks": "1,,2"}, ["--individual-ranks has an empty entry"]),
+            # A key is a full flag name, never an abbreviation of one.
+            ("decompose", {"out": "elsewhere"}, ["--out=elsewhere"]),
+            ("decompose", {"joint": 2}, ["--joint=2"]),
+            # Rank-selection settings are checked even where pinned ranks leave them unused.
+            ("decompose", {"joint_rank": "2", "individual_ranks": "1,1", "energy": 5}, ["energy fraction", "5.0"]),
+            ("decompose", {"joint_rank": "2", "individual_ranks": "1,1", "quantile": 7}, ["quantile", "7.0"]),
+            ("decompose", {"joint_rank": "2", "individual_ranks": "1,1", "resamples": 5}, ["resamples", "5"]),
+            ("ranks", {"signal_ranks": "3,3", "energy": 5}, ["energy fraction", "5.0"]),
         ],
         ids=[
             "ranks", "decompose-no-orthogonality", "ranks-rank-mode", "decompose-rank-mode",
-            "epsilon-null", "seed-float", "max-iter-float", "empty-rank-entry",
+            "epsilon-null", "seed-float", "max-iter-float", "empty-rank-entry", "out-abbreviation",
+            "joint-abbreviation", "pinned-energy", "pinned-quantile", "pinned-resamples", "ranks-pinned-energy",
         ],
     )
     def test_unknown_config_key_rejected(self, input_files, tmp_path, capsys, command, overrides, named):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(overrides))
         argv = ["--config", str(config_path), command, "--input", input_files[0], "--input", input_files[1]]
-        code = main([*argv, "--out-dir", str(tmp_path / "out")])
-        assert code == 2
+        assert exit_code([*argv, "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert all(key in err for key in named)
+        assert "_positive_int" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("form", ["separate", "equals"])
+    def test_config_supplies_required_flags(self, input_files, tmp_path, capsys, form):
+        def run(command, overrides, *flags):
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(overrides))
+            config = ["--config", str(path)] if form == "separate" else [f"--config={path}"]
+            return main([*config, command, *flags])
+
+        model, composed = tmp_path / "model", tmp_path / "composed"
+        pinned = {"joint_rank": "2", "individual_ranks": "1,1", "out_dir": str(model)}
+        assert run("decompose", pinned, "--input", input_files[0], "--input", input_files[1]) == 0
+        assert run("compose", {"model": str(model), "out_dir": str(composed)}) == 0
+        capsys.readouterr()
+        assert (model / "model.json").is_file() and (composed / "joint+ind0+ind1.txt").is_file()
+
+    def test_config_matches_command_line(self, input_files, tmp_path, capsys):
+        flags = {
+            "joint_rank": "auto", "individual_ranks": "auto", "epsilon": 1e-8, "max_iter": 300, "seed": 4,
+            "energy": 0.9, "resamples": 20, "quantile": 0.9,
+        }
+        argv = sum(([f"--{k.replace('_', '-')}", str(v)] for k, v in flags.items()), [])
+        outs = [tmp_path / name for name in ("flags", "config", "mixed")]
+        assert main(["decompose", "--input", input_files[0], "--input", input_files[1], *argv,
+                     "--out-dir", str(outs[0])]) == 0
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"input": input_files, **flags, "out_dir": str(outs[1])}))
+        assert main(["--config", str(config_path), "decompose"]) == 0
+        # Explicit flags win, and explicit inputs follow the config's.
+        config_path.write_text(json.dumps({"input": input_files[:1], **flags, "seed": 5, "out_dir": str(tmp_path / "unused")}))
+        assert main(["--config", str(config_path), "decompose", "--input", input_files[1], "--seed", "4",
+                     "--out-dir", str(outs[2])]) == 0
+        capsys.readouterr()
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert json.loads((outs[0] / "model.json").read_text())["rank_decision"]["resamples"] == 20
+        for out in outs[1:]:
+            assert sorted(p.name for p in out.iterdir()) == names
+            assert all((out / n).read_bytes() == (outs[0] / n).read_bytes() for n in names), out.name
+        assert not (tmp_path / "unused").exists()

@@ -1,9 +1,11 @@
 """The scripts under ``scripts/`` run end to end and print what they document.
 
 Each runs as its own process, the way a user starts it, so a helper that a
-script imports and the package no longer has fails here.
+script imports and the package no longer has fails here.  So does the CLI's
+exit-code contract, which argparse keeps by raising SystemExit.
 """
 
+import json
 import os
 import pathlib
 import re
@@ -11,13 +13,13 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
 def run_script(name, *args, cwd):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=ENV, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
@@ -51,3 +53,24 @@ def test_rank_null_calibration(tmp_path):
     assert re.match(r"independent blocks +r=\d", lines[1])
     assert re.match(r" +false positives \d/5 = ", lines[2])
     assert re.match(r"planted joint rank 2 +r=2: 5 ", lines[3])
+
+
+def test_cli_exit_codes(tmp_path):
+    inputs = []
+    for i, dim in enumerate((4, 5)):
+        rows = [f"w{w:02d} " + " ".join(str((w * 7 + j * 3 + i) % 11 - 5) for j in range(dim)) for w in range(30)]
+        (tmp_path / f"in{i}.txt").write_text("\n".join(rows) + "\n")
+        inputs += ["--input", str(tmp_path / f"in{i}.txt")]
+    decompose = ["decompose", *inputs, "--joint-rank", "1", "--individual-ranks", "1,1"]
+
+    def exit_code(config, *argv):
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = [sys.executable, "-m", "embedjive", "--config", str(tmp_path / "config.json"), *argv]
+        return subprocess.run(argv, cwd=tmp_path, env=ENV, capture_output=True, timeout=120).returncode
+
+    assert exit_code({"jointrank": 1}, *decompose, "--out-dir", "a") == 2
+    assert exit_code({"epsilon": None}, *decompose, "--out-dir", "b") == 2
+    assert exit_code({}, *decompose) == 2
+    assert not any((tmp_path / d).exists() for d in "ab")
+    assert exit_code({"out_dir": "model"}, *decompose) == 0
+    assert (tmp_path / "model" / "model.json").is_file()
