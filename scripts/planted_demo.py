@@ -31,7 +31,7 @@ def run(noise_frac, seeds, p_dims, n, joint_rank, individual_ranks):
                              individual_scales=individual_scales, noise_sigma=sigma, seed=seed)
         config = JiveConfig(joint_rank=joint_rank, individual_ranks=individual_ranks, epsilon=1e-9)
         result = jive_fit(model.blocks, config)
-        report = variance_explained(result, model.blocks)
+        report = variance_explained(result)
         sines.append(principal_angle_sines(result.joint_vt, model.joint_vt).max())
         oracle_sines.append(principal_angle_sines(model.oracle_joint_vt(model.blocks), model.joint_vt).max())
         joint_pcts.append(np.mean(report.joint_pct))

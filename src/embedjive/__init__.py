@@ -23,7 +23,6 @@ from embedjive.jive import (
     JiveResult,
     VarianceReport,
     jive_fit,
-    jive_init,
     variance_explained,
 )
 from embedjive.linalg import NumericError, TruncatedSVD, project_rows_off, truncated_svd
@@ -59,7 +58,6 @@ __all__ = [
     "evaluate",
     "featurize",
     "jive_fit",
-    "jive_init",
     "parse_embedding",
     "preprocess",
     "project_rows_off",

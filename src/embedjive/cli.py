@@ -244,7 +244,7 @@ def _write_model(out_dir: Path, args, inputs: list[dict], stack: BlockStack, res
     def factor_file(name: str, scores: np.ndarray) -> str | None:
         if not scores.shape[0]:
             return None
-        write_embedding(EmbeddingMatrix(vocab=stack[0].vocab, data=scores, name=name), out_dir / f"{name}.txt")
+        write_embedding(EmbeddingMatrix(vocab=stack.vocab, data=scores, name=name), out_dir / f"{name}.txt")
         outputs.append(f"{name}.txt")
         return f"{name}.txt"
 
@@ -275,7 +275,7 @@ def _write_model(out_dir: Path, args, inputs: list[dict], stack: BlockStack, res
         },
     }
 
-    report = variance_explained(result, stack)
+    report = variance_explained(result)
     provenance = {k: record[k] for k in PROVENANCE_KEYS} | {"package_version": embedjive.__version__}
     write_report(report, out_dir / REPORT_FILE, "json", provenance)
     history = result.residual_history
@@ -325,14 +325,24 @@ def cmd_ranks(args) -> int:
 
 
 class _Model(NamedTuple):
-    """A model directory read back: the text of its report and, for the joint
-    part and then each block's individual part, its rank and each word's
-    checked value tokens (``None`` where no file was written)."""
+    """A model directory read back: its report's text and decoded value and,
+    for the joint part and then each block's individual part, its rank and
+    each word's checked value tokens (``None`` where no file was written)."""
 
     report_text: str
+    report: dict
     vocab: list[str]
     ranks: list[int]
     value_text: list[list[str] | None]
+
+
+def _read_json(path: Path) -> tuple[str, object]:
+    """A JSON file's text and decoded value; a decode error names the file."""
+    text = path.read_text(encoding="utf-8")
+    try:
+        return text, json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
 
 
 def _read_model(model_dir: Path) -> _Model:
@@ -343,7 +353,7 @@ def _read_model(model_dir: Path) -> _Model:
     path = model_dir / MODEL_FILE
     if not path.exists():
         raise ValueError(f"model sidecar not found: {path}")
-    record = json.loads(path.read_text(encoding="utf-8"))
+    record = _read_json(path)[1]
     if not isinstance(record, dict):
         raise ValueError(f"{path} must hold a JSON object")
     missing = [k for k in MODEL_KEYS if k not in record]
@@ -377,12 +387,13 @@ def _read_model(model_dir: Path) -> _Model:
         value_text.append(text)
     if vocab is None:
         raise ValueError(f"model in {model_dir} has no stored factors")
-    report_text = (model_dir / REPORT_FILE).read_text(encoding="utf-8")
-    return _Model(report_text, vocab, [rank for _, rank in parts], value_text)
+    return _Model(*_read_json(model_dir / REPORT_FILE), vocab, [rank for _, rank in parts], value_text)
 
 
 def cmd_compose(args) -> int:
-    model_dir = Path(args.model)
+    model_dir, out_dir = Path(args.model), Path(args.out_dir)
+    if out_dir.resolve() == model_dir.resolve():
+        raise ValueError(f"--out-dir {out_dir} is the model directory; compose would overwrite the model's files")
     model = _read_model(model_dir)
     n_blocks = len(model.ranks) - 1
     if args.compositions.strip() == "all":
@@ -394,7 +405,6 @@ def cmd_compose(args) -> int:
     if repeated:
         raise ValueError(f"compositions repeat {', '.join(map(repr, repeated))}")
     selections = [selected_parts(spec, model.ranks) for spec in specs]
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for spec, selected in zip(specs, selections):
@@ -439,9 +449,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    text = _read_model(Path(args.model)).report_text
-    if args.format == "tsv":
-        text = report_tsv(json.loads(text))
+    model = _read_model(Path(args.model))
+    text = report_tsv(model.report) if args.format == "tsv" else model.report_text
     if args.out is None:
         print(text, end="")
     else:

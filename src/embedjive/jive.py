@@ -6,33 +6,36 @@ K blocks sharing the word axis are modeled as
 
 with one joint row space (rows of ``J``) common to all blocks and a
 block-specific individual part ``D_i @ H_i`` whose row space is orthogonal to
-the joint one.  Fitting alternates two subproblems: re-estimate the joint
-row space from the stacked blocks with the individual parts removed, then
-re-truncate each block's leftover to its individual rank.  The initial
-state takes exact truncated SVDs.  Every later sweep replaces each SVD of a
-matrix M by one warm step from the previous sweep's rows W (the joint rows
-for the joint step, the block's individual rows for its individual step):
+the joint one.  Each sweep solves two subproblems: re-estimate the joint row
+space from the stacked blocks with the individual parts removed, then
+re-truncate each block's leftover to its individual rank.  Sweep 0 starts
+from a zero individual part and no previous rows, so it takes exact
+truncated SVDs.  Every later sweep replaces each SVD of a matrix M by one
+warm step from the previous sweep's rows W (the joint rows for the joint
+step, the block's individual rows for its individual step):
 ``q = qr(M W')``, then the SVD of the small ``q' M``, which is the Ritz fit
 of M over span(M W') (Halko, Martinsson & Tropp, SIAM Review 2011, §4.5).
 It never forms ``M M'`` and costs O(p P r) instead of a full SVD.
 
-The joint part is the projection of the data onto the current joint row
-space and each individual leftover is projected off that row space before
-truncation (Lock et al., Ann. Appl. Stat. 2013); ``J_i @ A_i' = 0`` then
-holds at every sweep and the per-block energies split additively.
+The joint part is the projection of the data onto the current joint rows V,
+``X V'V`` (Lock et al., Ann. Appl. Stat. 2013), so each block's leftover
+``X_i - (X V'V)_i = X_i (I - V'V)`` already lies off the joint row space,
+and so does its truncation: ``J_i @ A_i' = 0`` holds at every sweep and the
+per-block energies split additively.
 
-With the warm steps the squared residual still cannot rise.  The Ritz fit
-captures ``||q' M||^2 >= ||M W'||^2``, the energy that the previous rows
-capture, and so does at least as well as any fit of M whose rows lie in
-span(W).
-The previous individual parts projected off the new joint rows are such
-fits of the current leftovers, and their residual equals the deflated
-stack's residual off the new joint rows, which the joint step keeps at or
-below the previous sweep's.  Rounding is left to the run-time residual
-check of ``decompose`` (exit 3).  Near convergence, a small relative
-decrease can also mean a subspace that has not settled; at the default
-epsilon the fit stops within about 1e-6 relative of the residual that exact
-per-sweep SVDs reach.
+With the warm steps the squared residual still cannot rise after sweep 0.
+The Ritz fit captures ``||q' M||^2 >= ||M W'||^2``, the energy that the
+previous rows capture, and so does at least as well as any fit of M whose
+rows lie in span(W).  A leftover has ``M = M (I - V'V)``, so
+``M W' = M ((I - V'V) W')`` and its fit does at least as well as any fit
+whose rows lie in span(W) projected off the new joint rows.  The previous
+individual parts projected off those rows are such fits, and their residual
+equals the deflated stack's residual off the new joint rows, which the joint
+step keeps at or below the previous sweep's.  Rounding is left to the
+run-time residual check of ``decompose`` (exit 3).  Near convergence, a
+small relative decrease can also mean a subspace that has not settled; at
+the default epsilon the fit stops within about 1e-6 relative of the
+residual that exact per-sweep SVDs reach.
 
 Every iterate lies in the row space of the stacked data X (P x n, P the
 summed block dims, n the vocabulary).  :class:`BlockStack` therefore takes
@@ -118,8 +121,9 @@ class JiveResult:
 
     ``joint_sq``, ``individual_sq`` and ``residual_sq`` are each block's
     squared Frobenius norms of its three parts.  ``stop_reason`` is
-    ``"tolerance"``, ``"exact_fit"`` or ``"max_iter"`` for a fit, and
-    ``None`` for an initial state that is not already exact.
+    ``"tolerance"``, ``"exact_fit"`` or ``"max_iter"``, never ``None``;
+    ``iterations`` counts the sweeps after sweep 0, and
+    ``residual_history[t]`` is the residual after sweep t.
     ``orthogonality_deviation`` is the largest ``|J_i A_i'|`` entry relative
     to ``||X_i||_F^2`` over the blocks.
     """
@@ -131,7 +135,7 @@ class JiveResult:
     individual_scores: list[np.ndarray]
     residual_history: list[float]
     converged: bool
-    stop_reason: str | None
+    stop_reason: str
     iterations: int
     block_names: list[str]
     block_sq_norms: list[float]
@@ -140,10 +144,6 @@ class JiveResult:
     residual_sq: list[float]
     orthogonality_deviation: float
     config: JiveConfig
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.loadings)
 
     @property
     def joint_rank(self) -> int:
@@ -176,13 +176,14 @@ class JiveResult:
         return self.individual_loadings[i] @ self.individual_scores[i]
 
 
-class BlockStack(Sequence):
+class BlockStack:
     """Two or more validated blocks over one vocabulary, compressed once.
 
-    Indexing yields the blocks as given.  The stack holds one reduced QR of
-    the stacked transpose, ``X' = Q R``: ``stacked`` is ``C = R'``
-    (P x min(P, n)), ``block(i)`` its rows for block i, and ``lift`` maps
-    rows back to the n words through ``Q'``.
+    The stack holds one reduced QR of the stacked transpose, ``X' = Q R``:
+    ``stacked`` is ``C = R'`` (P x min(P, n)), ``block(i)`` its rows for
+    block i, and ``lift`` maps rows back to the n words through ``Q'``.
+    ``vocab`` is the blocks' shared vocabulary when every block is an
+    :class:`EmbeddingMatrix`, else ``None``.
     """
 
     def __init__(self, blocks):
@@ -197,9 +198,9 @@ class BlockStack(Sequence):
             if arr.shape[1] != self.n:
                 raise ValueError(f"block {i} has {arr.shape[1]} columns, expected {self.n}")
         vocabs = [b.vocab for b in items if isinstance(b, EmbeddingMatrix)]
-        if len(vocabs) == len(items) and any(v != vocabs[0] for v in vocabs[1:]):
+        self.vocab = vocabs[0] if len(vocabs) == len(items) else None
+        if self.vocab is not None and any(v != self.vocab for v in vocabs[1:]):
             raise ValueError("blocks have mismatched vocabularies; align them first")
-        self._items = [b if isinstance(b, EmbeddingMatrix) else arr for b, arr in zip(items, arrays)]
         self.dims = [arr.shape[0] for arr in arrays]
         offsets = np.cumsum([0, *self.dims])
         self.slices = [slice(offsets[i], offsets[i + 1]) for i in range(len(self.dims))]
@@ -226,10 +227,7 @@ class BlockStack(Sequence):
         return arr, name
 
     def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, i):
-        return self._items[i]
+        return len(self.dims)
 
     @property
     def shapes(self) -> list[tuple[int, int]]:
@@ -249,12 +247,6 @@ def _fro2(m: np.ndarray) -> float:
     return float(np.vdot(m, m).real)
 
 
-def _rows_onto(m: np.ndarray, vt: np.ndarray) -> np.ndarray:
-    if vt.shape[0] == 0:
-        return np.zeros_like(m)
-    return (m @ vt.T) @ vt
-
-
 def _svd_step(m: np.ndarray, rank: int, rows: np.ndarray | None = None) -> TruncatedSVD:
     """Rank-``rank`` fit of ``m``: its truncated SVD, or with ``rows`` (the
     previous sweep's right factor) the Ritz fit over span(m @ rows')."""
@@ -268,24 +260,13 @@ def _svd_step(m: np.ndarray, rank: int, rows: np.ndarray | None = None) -> Trunc
     return TruncatedSVD(U=q @ svd.U, S=svd.S, Vt=svd.Vt)
 
 
-def jive_init(blocks, config: JiveConfig) -> JiveResult:
-    """Initial state: joint part from one stacked truncation, individual parts
-    from per-block truncations of the leftovers, residual recorded.
+def jive_fit(blocks, config: JiveConfig) -> JiveResult:
+    """Alternate joint and individual updates until the relative residual
+    decrease falls below ``config.epsilon`` or ``config.max_iter`` sweeps
+    follow sweep 0.
 
     ``blocks`` is a list of arrays or :class:`EmbeddingMatrix` blocks, or a
     :class:`BlockStack`; a list is compressed first."""
-    return _run(blocks, config, run_sweeps=False)
-
-
-def jive_fit(blocks, config: JiveConfig) -> JiveResult:
-    """Alternate joint and individual updates until the relative residual
-    decrease falls below ``config.epsilon`` or ``config.max_iter`` sweeps.
-
-    ``blocks`` as for :func:`jive_init`."""
-    return _run(blocks, config, run_sweeps=True)
-
-
-def _run(blocks, config: JiveConfig, run_sweeps: bool) -> JiveResult:
     stack = BlockStack.of(blocks)
     config.validate(stack.shapes)
 
@@ -293,58 +274,39 @@ def _run(blocks, config: JiveConfig, run_sweeps: bool) -> JiveResult:
     ranks = [int(r) for r in config.individual_ranks]
     exact_floor = EXACT_FIT_REL_TOL * sum(stack.sq_norms)
 
-    vt = _svd_step(x, config.joint_rank).Vt
-    joint = _rows_onto(x, vt)
-    parts = [_svd_step(stack.block(i) - joint[s], ranks[i]) for i, s in enumerate(stack.slices)]
-    indiv = np.vstack([part.compose() for part in parts])
+    # Sweep 0 has no previous rows, so its steps are exact truncated SVDs.
+    vt, rows, indiv = None, [None] * len(ranks), np.zeros_like(x)
+    history, stop_reason = [], "max_iter"
+    for sweep in range(config.max_iter + 1):
+        vt = _svd_step(x - indiv, config.joint_rank, vt).Vt
+        joint = (x @ vt.T) @ vt
+        leftover = x - joint
+        parts = [_svd_step(leftover[s], r, w) for s, r, w in zip(stack.slices, ranks, rows)]
+        rows = [part.Vt for part in parts]
+        indiv = np.vstack([part.compose() for part in parts])
+        residual_sq = _fro2(leftover - indiv)
+        if not np.isfinite(residual_sq):
+            raise NumericError(f"non-finite residual at iteration {sweep}")
+        history.append(residual_sq)
+        if residual_sq <= exact_floor:
+            stop_reason = "exact_fit"
+            break
+        if sweep and (history[-2] - residual_sq) / history[-2] < config.epsilon:
+            stop_reason = "tolerance"
+            break
 
-    residual_sq = _fro2(x - joint - indiv)
-    history = [residual_sq]
-    stop_reason = "exact_fit" if residual_sq <= exact_floor else None
-    sweeps = 0
-
-    if run_sweeps:
-        while stop_reason is None and sweeps < config.max_iter:
-            sweeps += 1
-            deflated = x - indiv
-            vt = _svd_step(deflated, config.joint_rank, vt).Vt
-            joint = _rows_onto(x, vt)
-            for i, s in enumerate(stack.slices):
-                leftover = stack.block(i) - joint[s]
-                leftover = leftover - (leftover @ vt.T) @ vt
-                parts[i] = _svd_step(leftover, ranks[i], parts[i].Vt)
-            indiv = np.vstack([part.compose() for part in parts])
-            new_sq = _fro2(x - joint - indiv)
-            if not np.isfinite(new_sq):
-                raise NumericError(f"non-finite residual at iteration {sweeps}")
-            rel = (residual_sq - new_sq) / residual_sq
-            history.append(new_sq)
-            residual_sq = new_sq
-            if residual_sq <= exact_floor:
-                stop_reason = "exact_fit"
-            elif rel < config.epsilon:
-                stop_reason = "tolerance"
-        stop_reason = stop_reason or "max_iter"
-
-    return _extract(stack, vt, parts, history, stop_reason, sweeps, config)
+    return _extract(stack, vt, parts, history, stop_reason, sweep, config)
 
 
 def _extract(stack, vt, parts, history, stop_reason, sweeps, config):
-    r = vt.shape[0]
-    if r:
-        # Split the stacked joint part C @ vt into orthonormal loadings and
-        # singular-value-scaled scores via an SVD of the small P x r matrix.
-        svd = truncated_svd(stack.stacked @ vt.T, r)
-        unit_rows = svd.Vt @ vt
-        joint_rows = svd.S[:, None] * unit_rows
-        loadings = [np.ascontiguousarray(svd.U[s]) for s in stack.slices]
-        joint_vt = stack.lift(unit_rows)
-        joint_basis = svd.S[:, None] * joint_vt
-    else:
-        joint_rows = np.zeros((0, vt.shape[1]))
-        loadings = [np.zeros((p, 0)) for p in stack.dims]
-        joint_vt = np.zeros((0, stack.n))
-        joint_basis = np.zeros((0, stack.n))
+    # Split the stacked joint part C @ vt into orthonormal loadings and
+    # singular-value-scaled scores via an SVD of the small P x r matrix.
+    svd = _svd_step(stack.stacked @ vt.T, vt.shape[0])
+    unit_rows = svd.Vt @ vt
+    joint_rows = svd.S[:, None] * unit_rows
+    loadings = [np.ascontiguousarray(svd.U[s]) for s in stack.slices]
+    joint_vt = stack.lift(unit_rows)
+    joint_basis = svd.S[:, None] * joint_vt
 
     # The energy split and the orthogonality check, in the stack's coordinates.
     joint_sq, individual_sq, residual_sq, deviation = [], [], [], 0.0
@@ -377,30 +339,17 @@ def _extract(stack, vt, parts, history, stop_reason, sweeps, config):
     )
 
 
-def variance_explained(result: JiveResult, blocks) -> VarianceReport:
-    """Per-block joint/individual/residual energy as percentages.
-
-    The part energies and each block's total are those the fit recorded.
-    ``blocks`` (a list or a :class:`BlockStack`) must be the blocks the
-    result was fitted to; a different count, or a squared norm that differs
-    from the recorded one beyond rounding, raises ValueError.  The three
-    parts are mutually orthogonal, so the percentages sum to 100 up to
-    rounding.
-    """
-    if len(blocks) != result.n_blocks:
-        raise ValueError(f"result has {result.n_blocks} blocks, got {len(blocks)}")
-    given = blocks.sq_norms if isinstance(blocks, BlockStack) else [_fro2(_data(b)) for b in blocks]
+def variance_explained(result: JiveResult) -> VarianceReport:
+    """Per-block joint/individual/residual energy as percentages of the
+    block's energy, all as the fit recorded them.  The three parts are
+    mutually orthogonal, so the percentages sum to 100 up to rounding."""
     joint_pct, individual_pct, residual_pct = [], [], []
-    for i, (x_sq, fitted_sq) in enumerate(zip(given, result.block_sq_norms)):
-        if not np.isclose(x_sq, fitted_sq, rtol=1e-9, atol=0.0):
-            raise ValueError(
-                f"block {i} has squared norm {x_sq!r} but the result was fitted to {fitted_sq!r};"
-                " pass the fitted blocks")
-        if fitted_sq == 0.0:
+    for i, x_sq in enumerate(result.block_sq_norms):
+        if x_sq == 0.0:
             raise ValueError(f"block {i} has zero energy")
-        joint_pct.append(100.0 * result.joint_sq[i] / fitted_sq)
-        individual_pct.append(100.0 * result.individual_sq[i] / fitted_sq)
-        residual_pct.append(100.0 * result.residual_sq[i] / fitted_sq)
+        joint_pct.append(100.0 * result.joint_sq[i] / x_sq)
+        individual_pct.append(100.0 * result.individual_sq[i] / x_sq)
+        residual_pct.append(100.0 * result.residual_sq[i] / x_sq)
     return VarianceReport(
         block_names=list(result.block_names),
         joint_pct=joint_pct,
@@ -409,7 +358,3 @@ def variance_explained(result: JiveResult, blocks) -> VarianceReport:
         joint_rank=result.joint_rank,
         individual_ranks=result.individual_ranks,
     )
-
-
-def _data(block) -> np.ndarray:
-    return np.asarray(block.data if isinstance(block, EmbeddingMatrix) else block, dtype=float)

@@ -51,7 +51,7 @@ def test_criterion_1_noiseless_planted_recovery():
         result = jive_fit(model.blocks, config)
         total_sq = sum(float(np.sum(b**2)) for b in model.blocks)
         assert result.residual_history[-1] <= 1e-16 * total_sq
-        report = variance_explained(result, model.blocks)
+        report = variance_explained(result)
         for i in range(2):
             joint, individual, residual = model.expected_pct(i)
             assert abs(report.joint_pct[i] - joint) <= 1e-6
@@ -71,10 +71,10 @@ def test_criterion_2_noisy_planted_recovery():
     # for the oracle (per seed 0.053-0.065), 0.060 for least squares given the
     # planted loadings and individual parts, 0.063 for the analytic
     # sigma / sqrt(2) * (sqrt(n - r - 5) + sqrt(r)), 0.065 for the converged
-    # fit and 0.079 for one stacked truncation without sweeps (``jive_init``).
+    # fit and 0.079 for one stacked truncation without later sweeps (sweep 0).
     # An absolute bound of 0.05 is out of reach for any estimator.  Over twenty
     # groups of ten seeds (100-299) the fit/oracle ratio of the means ran
-    # 1.07-1.11 and the jive_init/oracle ratio 1.30-1.47; the factor 1.2
+    # 1.07-1.11 and the sweep-0/oracle ratio 1.30-1.47; the factor 1.2
     # passes a converged fit with margin and fails a fit that stops at its
     # first truncation or lets individual signal leak into the joint space.
     with criterion(2, "noisy planted recovery: mean joint-subspace sine within 1.2x the oracle's at 5% noise"):
@@ -157,7 +157,7 @@ def test_criterion_4_rank_selection_nulls_and_signals():
 def test_criterion_5_pythagorean_variance_split(random_instance_fits):
     with criterion(5, "variance percentages sum to 100 +- 0.1 per block on the criterion-3 instances"):
         for blocks, result in random_instance_fits:
-            report = variance_explained(result, blocks)
+            report = variance_explained(result)
             for i in range(len(blocks)):
                 total = report.joint_pct[i] + report.individual_pct[i] + report.residual_pct[i]
                 assert 99.9 <= total <= 100.1
@@ -208,7 +208,7 @@ def test_criterion_7_nested_row_spaces():
         x_high = loadings(100, 50, 0.5, 1.5) @ low_vt + loadings(100, 50, 0.35, 1.0) @ extra_vt
         config = JiveConfig(joint_rank=50, individual_ranks=(0, 50), epsilon=1e-10, max_iter=500)
         result = jive_fit([x_low, x_high], config)
-        report = variance_explained(result, [x_low, x_high])
+        report = variance_explained(result)
         assert report.joint_pct[0] >= 99.9
 
 

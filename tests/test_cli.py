@@ -414,8 +414,11 @@ class TestCompose:
             (lambda d: _set_value(d / "joint.txt", 0, "-inf"), "joint.txt: non-finite value -inf for word 'w000'"),
             (lambda d: _drop_key(d, "n_words"), "model.json is missing 'n_words'"),
             (lambda d: _drop_key(d, "individual_files"), "model.json is missing 'individual_files'"),
+            (lambda d: (d / "model.json").write_text("{not json"), "model.json: invalid JSON"),
+            (lambda d: (d / "report.json").write_text("{not json"), "report.json: invalid JSON"),
         ],
-        ids=["rank", "word-count", "file-per-block", "not-an-object", "nan", "inf", "no-n-words", "no-individual-files"],
+        ids=["rank", "word-count", "file-per-block", "not-an-object", "nan", "inf", "no-n-words", "no-individual-files",
+             "model-not-json", "report-not-json"],
     )
     def test_factor_files_checked_against_model(self, model_dir, tmp_path, capsys, tamper, named):
         tamper(model_dir)
@@ -425,6 +428,15 @@ class TestCompose:
         assert not (out / "ind0.txt").exists()
         assert main(["report", "--model", str(model_dir)]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suffix", ["", "/."])
+    def test_out_dir_may_not_be_the_model(self, model_dir, capsys, suffix):
+        before = {path.name: path.read_bytes() for path in model_dir.iterdir()}
+        argv = ["compose", "--model", str(model_dir), "--compositions", "joint", "--format", "word2vec-text",
+                "--out-dir", str(model_dir) + suffix]
+        assert main(argv) == 2
+        assert "model directory" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in model_dir.iterdir()} == before
 
     def test_repeated_composition_rejected(self, model_dir, tmp_path, capsys):
         out = tmp_path / "x"

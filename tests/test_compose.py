@@ -94,14 +94,14 @@ class TestVarianceReportOutput:
     def test_pure_joint(self, rng):
         x = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 40))
         result = jive_fit([x, x.copy()], JiveConfig(joint_rank=3, individual_ranks=(0, 0)))
-        report = variance_explained(result, [x, x.copy()])
+        report = variance_explained(result)
         assert abs(report.joint_pct[0] - 100.0) <= 1e-9
         assert report.individual_pct[0] <= 1e-9
         assert report.residual_pct[0] <= 1e-9
 
     def test_planted_sums(self, fitted):
         model, result, _ = fitted
-        report = variance_explained(result, model.blocks)
+        report = variance_explained(result)
         for i in range(2):
             assert 0.0 < report.residual_pct[i] < 5.0
             assert 99.9 <= report.joint_pct[i] + report.individual_pct[i] + report.residual_pct[i] <= 100.1
@@ -109,15 +109,15 @@ class TestVarianceReportOutput:
     def test_percentages_invariant_under_block_order(self, fitted):
         model, _, _ = fitted
         config = JiveConfig(joint_rank=5, individual_ranks=(3, 4), epsilon=1e-9)
-        forward = variance_explained(jive_fit(model.blocks, config), model.blocks)
+        forward = variance_explained(jive_fit(model.blocks, config))
         config_swapped = JiveConfig(joint_rank=5, individual_ranks=(4, 3), epsilon=1e-9)
-        backward = variance_explained(jive_fit(model.blocks[::-1], config_swapped), model.blocks[::-1])
+        backward = variance_explained(jive_fit(model.blocks[::-1], config_swapped))
         np.testing.assert_allclose(forward.joint_pct, backward.joint_pct[::-1], atol=1e-6)
         np.testing.assert_allclose(forward.residual_pct, backward.residual_pct[::-1], atol=1e-6)
 
     def test_write_deterministic(self, fitted, tmp_path):
         model, result, _ = fitted
-        report = variance_explained(result, model.blocks)
+        report = variance_explained(result)
         for fmt in ("tsv", "json"):
             a, b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
             write_report(report, a, fmt, provenance={"seed": 0})
@@ -126,7 +126,7 @@ class TestVarianceReportOutput:
 
     def test_tsv_schema(self, fitted, tmp_path):
         model, result, _ = fitted
-        report = variance_explained(result, model.blocks)
+        report = variance_explained(result)
         path = tmp_path / "report.tsv"
         write_report(report, path, "tsv")
         lines = path.read_text().splitlines()
@@ -138,7 +138,7 @@ class TestVarianceReportOutput:
 
     def test_json_round_trip_full_precision(self, fitted, tmp_path):
         model, result, _ = fitted
-        report = variance_explained(result, model.blocks)
+        report = variance_explained(result)
         path = tmp_path / "report.json"
         write_report(report, path, "json", provenance={"epsilon": 1e-9, "seed": 3})
         parsed = json.loads(path.read_text())
@@ -150,6 +150,6 @@ class TestVarianceReportOutput:
 
     def test_unknown_format(self, fitted, tmp_path):
         model, result, _ = fitted
-        report = variance_explained(result, model.blocks)
+        report = variance_explained(result)
         with pytest.raises(ValueError, match="report format"):
             write_report(report, tmp_path / "x", "yaml")

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 import embedjive.jive
-from embedjive.jive import BlockStack, JiveConfig, jive_fit, jive_init, variance_explained
+from embedjive.jive import BlockStack, JiveConfig, jive_fit, variance_explained
 from embedjive.linalg import NumericError, principal_angle_sines, truncated_svd
 from embedjive.synthetic import make_planted
 
 
 def init_residual_oracle(blocks, joint_rank, individual_ranks):
-    """Two-step SVD initialization residual, coded straight from LAPACK calls."""
+    """Sweep 0's residual (two exact SVD steps), coded straight from LAPACK calls."""
     stacked = np.vstack(blocks)
     u, s, vt = np.linalg.svd(stacked, full_matrices=False)
     joint = (u[:, :joint_rank] * s[:joint_rank]) @ vt[:joint_rank]
@@ -33,9 +33,11 @@ def assert_monotone(history, slack=1e-12):
 
 
 class TestInit:
+    """Sweep 0: exact truncated SVDs from a zero individual part."""
+
     def test_identical_blocks_pure_joint(self, rng):
         base = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 40))
-        state = jive_init([base, base.copy()], JiveConfig(joint_rank=3, individual_ranks=(0, 0)))
+        state = jive_fit([base, base.copy()], JiveConfig(joint_rank=3, individual_ranks=(0, 0)))
         stacked = np.vstack([base, base])
         joint = np.vstack([state.joint_block(0), state.joint_block(1)])
         assert np.abs(joint - stacked).max() <= 1e-10
@@ -43,23 +45,23 @@ class TestInit:
 
     def test_zero_joint_rank(self, rng):
         blocks = [rng.standard_normal((4, 30)), rng.standard_normal((6, 30))]
-        state = jive_init(blocks, JiveConfig(joint_rank=0, individual_ranks=(4, 6)))
+        state = jive_fit(blocks, JiveConfig(joint_rank=0, individual_ranks=(4, 6)))
         assert state.joint_basis.shape == (0, 30)
         for i, block in enumerate(blocks):
             assert np.abs(state.individual_block(i) - block).max() <= 1e-10
 
     def test_residual_matches_independent_script(self, rng):
         blocks = [rng.standard_normal((4, 30)), rng.standard_normal((6, 30))]
-        state = jive_init(blocks, JiveConfig(joint_rank=2, individual_ranks=(2, 2)))
+        state = jive_fit(blocks, JiveConfig(joint_rank=2, individual_ranks=(2, 2)))
         oracle = init_residual_oracle(blocks, 2, (2, 2))
         assert abs(state.residual_history[0] - oracle) <= 1e-10
 
     def test_rank_validation(self, rng):
         blocks = [rng.standard_normal((4, 30)), rng.standard_normal((6, 30))]
         with pytest.raises(ValueError, match="joint rank"):
-            jive_init(blocks, JiveConfig(joint_rank=5, individual_ranks=(0, 0)))
+            jive_fit(blocks, JiveConfig(joint_rank=5, individual_ranks=(0, 0)))
         with pytest.raises(ValueError, match="individual rank"):
-            jive_init(blocks, JiveConfig(joint_rank=1, individual_ranks=(0, 7)))
+            jive_fit(blocks, JiveConfig(joint_rank=1, individual_ranks=(0, 7)))
 
 
 class TestFit:
@@ -68,7 +70,7 @@ class TestFit:
         q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
         result = jive_fit([x1, q @ x1], JiveConfig(joint_rank=6, individual_ranks=(0, 0)))
         assert result.residual_history[-1] <= 1e-18
-        report = variance_explained(result, [x1, q @ x1])
+        report = variance_explained(result)
         assert min(report.joint_pct) >= 100.0 * (1 - 1e-10)
 
     def test_orthogonal_row_spaces_pure_individual(self, rng):
@@ -104,6 +106,7 @@ class TestFit:
             ranks = (int(rng.integers(0, p1 + 1)), int(rng.integers(0, p2 + 1)))
             result = jive_fit(blocks, JiveConfig(joint_rank=r, individual_ranks=ranks, epsilon=1e-8, max_iter=40))
             assert_monotone(result.residual_history)
+            assert result.orthogonality_deviation <= 1e-12
             for i, block in enumerate(blocks):
                 cross = result.joint_block(i) @ result.individual_block(i).T
                 limit = 1e-8 * np.linalg.norm(block)
@@ -126,8 +129,8 @@ class TestFit:
         scaled = jive_fit([c * b for b in model.blocks], config)
         ratio = scaled.residual_history[-1] / base.residual_history[-1]
         assert abs(ratio - c**2) <= 1e-8 * c**2
-        report_base = variance_explained(base, model.blocks)
-        report_scaled = variance_explained(scaled, [c * b for b in model.blocks])
+        report_base = variance_explained(base)
+        report_scaled = variance_explained(scaled)
         for a, b in zip(report_base.joint_pct, report_scaled.joint_pct):
             assert abs(a - b) <= 1e-10 * 100
 
@@ -161,7 +164,7 @@ class TestFit:
         result = jive_fit(model.blocks, JiveConfig(joint_rank=2, individual_ranks=(1, 2, 1), epsilon=1e-9))
         assert_monotone(result.residual_history)
         assert principal_angle_sines(result.joint_vt, model.joint_vt).max() <= 0.05
-        report = variance_explained(result, model.blocks)
+        report = variance_explained(result)
         for i in range(3):
             total = report.joint_pct[i] + report.individual_pct[i] + report.residual_pct[i]
             assert 99.9 <= total <= 100.1
@@ -171,7 +174,7 @@ class TestVarianceExplained:
     def test_pure_joint_is_hundred(self, rng):
         x = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 40))
         result = jive_fit([x, x.copy()], JiveConfig(joint_rank=3, individual_ranks=(0, 0)))
-        report = variance_explained(result, [x, x.copy()])
+        report = variance_explained(result)
         for i in range(2):
             assert abs(report.joint_pct[i] - 100.0) <= 1e-9
             assert report.individual_pct[i] <= 1e-9
@@ -184,7 +187,7 @@ class TestVarianceExplained:
             noise_sigma=0.01, seed=7,
         )
         result = jive_fit(model.blocks, JiveConfig(joint_rank=3, individual_ranks=(2, 2), epsilon=1e-9))
-        report = variance_explained(result, model.blocks)
+        report = variance_explained(result)
         for i in range(2):
             total = report.joint_pct[i] + report.individual_pct[i] + report.residual_pct[i]
             assert 99.9 <= total <= 100.1
@@ -192,20 +195,12 @@ class TestVarianceExplained:
     def test_matches_planted_split_noiseless(self):
         model = make_planted((10, 14), 90, 2, (2, 2), joint_scales=(1.2, 1.0), seed=13)
         result = jive_fit(model.blocks, JiveConfig(joint_rank=2, individual_ranks=(2, 2), epsilon=1e-11, max_iter=900))
-        report = variance_explained(result, model.blocks)
+        report = variance_explained(result)
         for i in range(2):
             joint, individual, residual = model.expected_pct(i)
             assert abs(report.joint_pct[i] - joint) <= 1e-6
             assert abs(report.individual_pct[i] - individual) <= 1e-6
             assert abs(report.residual_pct[i] - residual) <= 1e-6
-
-    def test_rejects_other_blocks(self, rng):
-        blocks = [rng.standard_normal((5, 40)), rng.standard_normal((7, 40))]
-        result = jive_fit(blocks, JiveConfig(joint_rank=2, individual_ranks=(1, 2)))
-        assert variance_explained(result, BlockStack(blocks)).joint_pct == variance_explained(result, blocks).joint_pct
-        for other in ([2.0 * blocks[0], blocks[1]], blocks[::-1], blocks[:1]):
-            with pytest.raises(ValueError, match="fitted|blocks"):
-                variance_explained(result, other)
 
 
 def reference_fit(blocks, config, warm=True):
@@ -287,7 +282,7 @@ class TestCompressedFit:
         for i in range(len(dims)):
             assert np.abs(result.loadings[i] - loadings[i]).max() <= 1e-10
             assert np.abs(result.individual_scores[i] - scores[i]).max() <= 1e-10
-        report = variance_explained(result, model.blocks)
+        report = variance_explained(result)
         got = np.array([report.joint_pct, report.individual_pct, report.residual_pct]).T
         assert np.abs(got - np.array(pct)).max() <= 1e-10
 
@@ -346,7 +341,6 @@ class TestRunContract:
         assert converged.stop_reason == "tolerance" and converged.converged
         stopped = jive_fit(blocks, JiveConfig(joint_rank=2, individual_ranks=(2, 2), epsilon=1e-15, max_iter=2))
         assert stopped.stop_reason == "max_iter" and not stopped.converged and stopped.iterations == 2
-        assert jive_init(blocks, config).stop_reason is None
 
     def test_orthogonality_deviation_matches_word_space(self):
         model = make_planted((8, 12), 90, 2, (2, 1), noise_sigma=0.05, seed=6)
