@@ -34,8 +34,8 @@ def run(noise_frac, seeds, p_dims, n, joint_rank, individual_ranks):
         report = variance_explained(result)
         sines.append(principal_angle_sines(result.joint_vt, model.joint_vt).max())
         oracle_sines.append(principal_angle_sines(model.oracle_joint_vt(model.blocks), model.joint_vt).max())
-        joint_pcts.append(np.mean(report.joint_pct))
-        resid_pcts.append(np.mean(report.residual_pct))
+        joint_pcts.append(np.mean([b["joint_pct"] for b in report["blocks"]]))
+        resid_pcts.append(np.mean([b["residual_pct"] for b in report["blocks"]]))
         iters.append(result.iterations)
     expected_joint = np.mean([model.expected_pct(i)[0] for i in range(len(p_dims))])
     print(

@@ -21,8 +21,8 @@ from embedjive.jive import (
     BlockStack,
     JiveConfig,
     JiveResult,
-    VarianceReport,
     jive_fit,
+    report_tsv,
     variance_explained,
 )
 from embedjive.linalg import NumericError, TruncatedSVD, project_rows_off, truncated_svd
@@ -32,7 +32,7 @@ from embedjive.rank_select import (
     select_individual_ranks,
     select_joint_rank,
 )
-from embedjive.compose import CompositionSpec, compose, standard_compositions, write_report
+from embedjive.compose import CompositionSpec, compose, standard_compositions
 from embedjive.evaluate import EvalResult, LabeledCorpus, LinearModel, evaluate, featurize, train_linear
 
 __version__ = "0.1.0"
@@ -51,7 +51,6 @@ __all__ = [
     "NumericError",
     "RankDecision",
     "TruncatedSVD",
-    "VarianceReport",
     "align_vocabularies",
     "compose",
     "estimate_signal_rank",
@@ -61,6 +60,7 @@ __all__ = [
     "parse_embedding",
     "preprocess",
     "project_rows_off",
+    "report_tsv",
     "select_individual_ranks",
     "select_joint_rank",
     "standard_compositions",
@@ -68,5 +68,4 @@ __all__ = [
     "truncated_svd",
     "variance_explained",
     "write_embedding",
-    "write_report",
 ]

@@ -21,17 +21,10 @@ from typing import NamedTuple
 import numpy as np
 
 import embedjive
-from embedjive.compose import (
-    parse_composition,
-    report_json_dict,
-    report_tsv,
-    selected_parts,
-    standard_compositions,
-    write_report,
-)
+from embedjive.compose import parse_composition, selected_parts, standard_compositions
 from embedjive.embed_io import EmbeddingMatrix, align_vocabularies, parse_embedding, preprocess, write_embedding
 from embedjive.evaluate import evaluate, read_corpus_tsv, train_linear
-from embedjive.jive import BlockStack, JiveConfig, jive_fit, variance_explained
+from embedjive.jive import PCT_KEYS, BlockStack, JiveConfig, jive_fit, report_tsv, variance_explained
 from embedjive.linalg import NumericError
 from embedjive.rank_select import (
     RankDecision,
@@ -60,8 +53,10 @@ MANIFEST_FILE = "manifest.json"
 # the decompose manifest echoes as its configuration.
 PROVENANCE_KEYS = ("joint_rank", "individual_ranks", "epsilon", "max_iter", "seed", "tau", "converged", "iterations")
 CONFIG_KEYS = ("joint_rank", "individual_ranks", "epsilon", "max_iter", "seed")
-# Run-record keys that compose and report read back.
+# Run-record keys that compose and report read back, and the keys of each
+# block entry of report.json.
 MODEL_KEYS = ("block_names", "n_words", "joint_file", "joint_rank", "individual_files", "individual_ranks")
+REPORT_BLOCK_KEYS = {"name", *PCT_KEYS, "individual_rank"}
 
 
 def _sha256(path: Path) -> str:
@@ -111,16 +106,6 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[dict
         "outputs": sorted(outputs),
     }
     (out_dir / MANIFEST_FILE).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
 
 
 def _entries(text: str, what: str) -> list[str]:
@@ -226,7 +211,7 @@ def cmd_decompose(args) -> int:
 
     out_dir = Path(args.out_dir)
     record, report = _write_model(out_dir, args, input_records, stack, result, decision, align_report.dropped_per_source)
-    print(report_tsv(report_json_dict(report)), end="")
+    print(report_tsv(report), end="")
     print(f"converged={result.converged} iterations={result.iterations} out_dir={out_dir}")
     violations = _invariant_violations(record)
     if violations:
@@ -277,7 +262,8 @@ def _write_model(out_dir: Path, args, inputs: list[dict], stack: BlockStack, res
 
     report = variance_explained(result)
     provenance = {k: record[k] for k in PROVENANCE_KEYS} | {"package_version": embedjive.__version__}
-    write_report(report, out_dir / REPORT_FILE, "json", provenance)
+    report_text = json.dumps(report | {"provenance": provenance}, sort_keys=True, indent=2) + "\n"
+    (out_dir / REPORT_FILE).write_text(report_text, encoding="utf-8")
     history = result.residual_history
     log_lines = [f"iter=0 R={history[0]!r} rel_change=nan"]
     for t in range(1, len(history)):
@@ -347,9 +333,10 @@ def _read_json(path: Path) -> tuple[str, object]:
 
 def _read_model(model_dir: Path) -> _Model:
     """Read a directory written by ``decompose``, checking that ``model.json``
-    names one factor file (or null) per block and that each file holds the
+    names one factor file (or null) per block, that each file holds the
     recorded rank of finite numbers over the recorded words, with one
-    vocabulary."""
+    vocabulary, and that ``report.json`` holds a joint rank and one block
+    entry per recorded block, each with its keys and numeric percentages."""
     path = model_dir / MODEL_FILE
     if not path.exists():
         raise ValueError(f"model sidecar not found: {path}")
@@ -387,7 +374,19 @@ def _read_model(model_dir: Path) -> _Model:
         value_text.append(text)
     if vocab is None:
         raise ValueError(f"model in {model_dir} has no stored factors")
-    return _Model(*_read_json(model_dir / REPORT_FILE), vocab, [rank for _, rank in parts], value_text)
+    report_path = model_dir / REPORT_FILE
+    report_text, report = _read_json(report_path)
+    blocks = report.get("blocks") if isinstance(report, dict) else None
+    if not (isinstance(blocks, list) and "joint_rank" in report and len(blocks) == len(ranks)
+            and all(map(_is_report_block, blocks))):
+        raise ValueError(f"{report_path} does not hold a variance report of the {len(ranks)} blocks in {MODEL_FILE}")
+    return _Model(report_text, report, vocab, [rank for _, rank in parts], value_text)
+
+
+def _is_report_block(entry) -> bool:
+    """A ``report.json`` block entry with every key and numeric percentages."""
+    return isinstance(entry, dict) and REPORT_BLOCK_KEYS <= entry.keys() and all(
+        isinstance(entry[k], (int, float)) and not isinstance(entry[k], bool) for k in PCT_KEYS)
 
 
 def cmd_compose(args) -> int:
@@ -485,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--joint-rank", default="auto", help="joint rank, or 'auto'")
     p.add_argument("--individual-ranks", default="auto", help="comma-separated individual ranks, or 'auto'")
     p.add_argument("--epsilon", type=float, default=1e-6, help="relative residual-decrease tolerance")
-    p.add_argument("--max-iter", type=_positive_int, default=500)
+    p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     _add_rank_flags(p)

@@ -46,6 +46,10 @@ product of the compressed blocks equals that of the originals.  The QR,
 O(n P^2), and lifting the fitted score rows back to words with ``Q'`` are
 the only steps that touch the vocabulary axis; each sweep costs O(P^2 r)
 for ranks up to r.
+
+The variance report, :func:`variance_explained`, is each block's
+joint/individual/residual energy split in percent, as the plain dictionary
+that ``report.json`` holds; :func:`report_tsv` formats it as a table.
 """
 
 from __future__ import annotations
@@ -61,6 +65,9 @@ from embedjive.linalg import NumericError, TruncatedSVD, truncated_svd
 # Residuals at or below this fraction of ||X||_F^2 count as an exact fit; the
 # relative-decrease test would divide rounding noise by rounding noise there.
 EXACT_FIT_REL_TOL = 1e-24
+
+# The percentages of each block entry of a variance report.
+PCT_KEYS = ("joint_pct", "individual_pct", "residual_pct")
 
 
 @dataclass
@@ -88,24 +95,6 @@ class JiveConfig:
         for i, (r_i, (p, n)) in enumerate(zip(self.individual_ranks, block_shapes)):
             if r_i < 0 or r_i > min(p, n):
                 raise ValueError(f"individual rank {r_i} out of range for block {i} ({p}x{n})")
-
-
-@dataclass
-class VarianceReport:
-    """Frobenius-energy split per block, in percent of the block's energy."""
-
-    block_names: list[str]
-    joint_pct: list[float]
-    individual_pct: list[float]
-    residual_pct: list[float]
-    joint_rank: int
-    individual_ranks: list[int]
-
-    def __post_init__(self) -> None:
-        for values in (self.joint_pct, self.individual_pct, self.residual_pct):
-            for v in values:
-                if not -1e-6 <= v <= 100.0 + 1e-6:
-                    raise ValueError(f"percentage {v} outside [0, 100]")
 
 
 @dataclass(eq=False)
@@ -339,22 +328,38 @@ def _extract(stack, vt, parts, history, stop_reason, sweeps, config):
     )
 
 
-def variance_explained(result: JiveResult) -> VarianceReport:
+def variance_explained(result: JiveResult) -> dict:
     """Per-block joint/individual/residual energy as percentages of the
-    block's energy, all as the fit recorded them.  The three parts are
-    mutually orthogonal, so the percentages sum to 100 up to rounding."""
-    joint_pct, individual_pct, residual_pct = [], [], []
+    block's energy, all as the fit recorded them, in the layout that
+    ``report.json`` holds: ``{"joint_rank": r, "blocks": [{"name",
+    "joint_pct", "individual_pct", "residual_pct", "individual_rank"}, ...]}``.
+    The three parts are mutually orthogonal, so the percentages sum to 100 up
+    to rounding."""
+    blocks = []
     for i, x_sq in enumerate(result.block_sq_norms):
         if x_sq == 0.0:
             raise ValueError(f"block {i} has zero energy")
-        joint_pct.append(100.0 * result.joint_sq[i] / x_sq)
-        individual_pct.append(100.0 * result.individual_sq[i] / x_sq)
-        residual_pct.append(100.0 * result.residual_sq[i] / x_sq)
-    return VarianceReport(
-        block_names=list(result.block_names),
-        joint_pct=joint_pct,
-        individual_pct=individual_pct,
-        residual_pct=residual_pct,
-        joint_rank=result.joint_rank,
-        individual_ranks=result.individual_ranks,
-    )
+        block = {
+            "name": result.block_names[i],
+            "joint_pct": 100.0 * result.joint_sq[i] / x_sq,
+            "individual_pct": 100.0 * result.individual_sq[i] / x_sq,
+            "residual_pct": 100.0 * result.residual_sq[i] / x_sq,
+            "individual_rank": result.individual_ranks[i],
+        }
+        for key in PCT_KEYS:
+            if not -1e-6 <= block[key] <= 100.0 + 1e-6:
+                raise ValueError(f"percentage {block[key]} outside [0, 100]")
+        blocks.append(block)
+    return {"joint_rank": result.joint_rank, "blocks": blocks}
+
+
+def report_tsv(report: dict) -> str:
+    """Tab-separated table of a report, as :func:`variance_explained` returns
+    it or ``report.json`` holds it, with display rounding to one decimal."""
+    lines = ["block\tjoint_pct\tindiv_pct\tresid_pct\tjoint_rank\tindiv_rank"]
+    for b in report["blocks"]:
+        lines.append(
+            f"{b['name']}\t{b['joint_pct']:.1f}\t{b['individual_pct']:.1f}"
+            f"\t{b['residual_pct']:.1f}\t{report['joint_rank']}\t{b['individual_rank']}"
+        )
+    return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ from corpus_util import clean_noisy_pair, separable_corpus, write_corpus_tsv
 from embedjive.cli import main
 from embedjive.embed_io import EmbeddingMatrix, parse_embedding, write_embedding
 from embedjive.evaluate import evaluate, train_linear
-from embedjive.jive import JiveConfig, jive_fit, variance_explained
+from embedjive.jive import PCT_KEYS, JiveConfig, jive_fit, variance_explained
 from embedjive.linalg import principal_angle_sines
 from embedjive.rank_select import select_joint_rank
 from embedjive.synthetic import make_planted, sigma_for_noise_fraction
@@ -54,9 +54,9 @@ def test_criterion_1_noiseless_planted_recovery():
         report = variance_explained(result)
         for i in range(2):
             joint, individual, residual = model.expected_pct(i)
-            assert abs(report.joint_pct[i] - joint) <= 1e-6
-            assert abs(report.individual_pct[i] - individual) <= 1e-6
-            assert abs(report.residual_pct[i] - residual) <= 1e-6
+            assert abs(report["blocks"][i]["joint_pct"] - joint) <= 1e-6
+            assert abs(report["blocks"][i]["individual_pct"] - individual) <= 1e-6
+            assert abs(report["blocks"][i]["residual_pct"] - residual) <= 1e-6
         assert time.perf_counter() - start < 5.0
 
 
@@ -159,7 +159,7 @@ def test_criterion_5_pythagorean_variance_split(random_instance_fits):
         for blocks, result in random_instance_fits:
             report = variance_explained(result)
             for i in range(len(blocks)):
-                total = report.joint_pct[i] + report.individual_pct[i] + report.residual_pct[i]
+                total = sum(report["blocks"][i][key] for key in PCT_KEYS)
                 assert 99.9 <= total <= 100.1
 
 
@@ -209,7 +209,7 @@ def test_criterion_7_nested_row_spaces():
         config = JiveConfig(joint_rank=50, individual_ranks=(0, 50), epsilon=1e-10, max_iter=500)
         result = jive_fit([x_low, x_high], config)
         report = variance_explained(result)
-        assert report.joint_pct[0] >= 99.9
+        assert report["blocks"][0]["joint_pct"] >= 99.9
 
 
 def test_criterion_8_eval_harness(tmp_path):

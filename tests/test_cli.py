@@ -43,6 +43,16 @@ def _drop_key(model_dir, key):
     (model_dir / "model.json").write_text(json.dumps(record))
 
 
+def _edit_report(model_dir, edit):
+    """Rewrite ``report.json`` as ``edit`` returns it from the decoded report."""
+    path = model_dir / "report.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+
+def _without(block, key):
+    return {k: v for k, v in block.items() if k != key}
+
+
 def planted_inputs(tmp_path, dims, n, joint_rank, individual_ranks, seed):
     """Embedding files with planted ranks whose noise puts the default 95%
     signal-rank cut in the middle of each block's weakest component, so the
@@ -362,6 +372,9 @@ class TestRanks:
         assert (out / "manifest.json").exists()
 
 
+NOT_A_REPORT = "report.json does not hold a variance report of the 2 blocks in model.json"
+
+
 class TestCompose:
     @pytest.fixture()
     def model_dir(self, input_files, tmp_path, capsys):
@@ -389,10 +402,15 @@ class TestCompose:
             assert emb.dim == rows, name
 
     def test_unknown_composition(self, model_dir, tmp_path, capsys):
-        code = main(["compose", "--model", str(model_dir), "--compositions", "ind9", "--out-dir", str(tmp_path / "x")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "valid parts" in err and "joint" in err and "ind0" in err
+        # A part has one spelling: ind00 and ind01 name no part.
+        out = tmp_path / "x"
+        for compositions, unknown in [("ind9", "ind9"), ("ind0+ind00,ind01", "ind00")]:
+            argv = ["compose", "--model", str(model_dir), "--compositions", compositions, "--out-dir", str(out)]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"unknown composition part {unknown!r}" in err
+            assert "valid parts" in err and "joint" in err and "ind0" in err
+            assert not out.exists()
 
     def test_missing_model(self, tmp_path, capsys):
         code = main(["compose", "--model", str(tmp_path / "nope"), "--out-dir", str(tmp_path / "x")])
@@ -416,9 +434,18 @@ class TestCompose:
             (lambda d: _drop_key(d, "individual_files"), "model.json is missing 'individual_files'"),
             (lambda d: (d / "model.json").write_text("{not json"), "model.json: invalid JSON"),
             (lambda d: (d / "report.json").write_text("{not json"), "report.json: invalid JSON"),
+            (lambda d: _edit_report(d, lambda r: []), NOT_A_REPORT),
+            (lambda d: _edit_report(d, lambda r: {}), NOT_A_REPORT),
+            (lambda d: _edit_report(d, lambda r: {"blocks": 3}), NOT_A_REPORT),
+            (lambda d: _edit_report(d, lambda r: r | {"blocks": r["blocks"][:1]}), NOT_A_REPORT),
+            (lambda d: _edit_report(d, lambda r: r | {"blocks": [r["blocks"][0], _without(r["blocks"][1], "residual_pct")]}),
+             NOT_A_REPORT),
+            (lambda d: _edit_report(d, lambda r: r | {"blocks": [r["blocks"][0] | {"joint_pct": "50.0"}, r["blocks"][1]]}),
+             NOT_A_REPORT),
         ],
         ids=["rank", "word-count", "file-per-block", "not-an-object", "nan", "inf", "no-n-words", "no-individual-files",
-             "model-not-json", "report-not-json"],
+             "model-not-json", "report-not-json", "report-list", "report-empty", "report-blocks-not-list",
+             "report-block-missing", "report-no-residual-pct", "report-string-pct"],
     )
     def test_factor_files_checked_against_model(self, model_dir, tmp_path, capsys, tamper, named):
         tamper(model_dir)
@@ -426,8 +453,12 @@ class TestCompose:
         assert main(["compose", "--model", str(model_dir), "--compositions", "ind0", "--out-dir", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not (out / "ind0.txt").exists()
-        assert main(["report", "--model", str(model_dir)]) == 2
-        assert named in capsys.readouterr().err
+        for fmt in ("tsv", "json"):
+            assert main(["report", "--model", str(model_dir), "--format", fmt]) == 2
+            assert named in capsys.readouterr().err
+            assert main(["report", "--model", str(model_dir), "--format", fmt, "--out", str(tmp_path / "r")]) == 2
+            assert named in capsys.readouterr().err
+            assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("suffix", ["", "/."])
     def test_out_dir_may_not_be_the_model(self, model_dir, capsys, suffix):
@@ -639,7 +670,9 @@ class TestConfigFile:
             # A value is checked as the same flag on the command line would be.
             ("decompose", {"epsilon": None}, ["--epsilon", "null"]),
             ("ranks", {"seed": 1.5}, ["--seed", "1.5"]),
-            ("decompose", {"max_iter": 2.5}, ["--max-iter", "2.5", "expected a positive integer, got '2.5'"]),
+            ("decompose", {"max_iter": 2.5}, ["--max-iter", "invalid int value: '2.5'"]),
+            # The fit settings are checked by JiveConfig.validate, before anything is written.
+            ("decompose", {"joint_rank": "2", "individual_ranks": "1,1", "max_iter": 0}, ["max_iter must be >= 1, got 0"]),
             # A rank list is checked as the command runs, naming its flag.
             ("decompose", {"joint_rank": "1", "individual_ranks": "1,,2"}, ["--individual-ranks has an empty entry"]),
             # A key is a full flag name, never an abbreviation of one.
@@ -653,7 +686,7 @@ class TestConfigFile:
         ],
         ids=[
             "ranks", "decompose-no-orthogonality", "ranks-rank-mode", "decompose-rank-mode",
-            "epsilon-null", "seed-float", "max-iter-float", "empty-rank-entry", "out-abbreviation",
+            "epsilon-null", "seed-float", "max-iter-float", "max-iter-0", "empty-rank-entry", "out-abbreviation",
             "joint-abbreviation", "pinned-energy", "pinned-quantile", "pinned-resamples", "ranks-pinned-energy",
         ],
     )
@@ -664,7 +697,6 @@ class TestConfigFile:
         assert exit_code([*argv, "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert all(key in err for key in named)
-        assert "_positive_int" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("form", ["separate", "equals"])

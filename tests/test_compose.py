@@ -3,15 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from embedjive.compose import (
-    CompositionSpec,
-    compose,
-    parse_composition,
-    report_json_dict,
-    standard_compositions,
-    write_report,
-)
-from embedjive.jive import JiveConfig, jive_fit, variance_explained
+from embedjive.compose import CompositionSpec, compose, parse_composition, selected_parts, standard_compositions
+from embedjive.jive import PCT_KEYS, JiveConfig, jive_fit, report_tsv, variance_explained
 from embedjive.linalg import principal_angle_sines
 from embedjive.synthetic import make_planted
 
@@ -79,6 +72,12 @@ class TestCompose:
             parse_composition("ind7", 2)
         with pytest.raises(ValueError, match="valid parts"):
             parse_composition("bogus", 2)
+        # A part has one spelling: no leading zeros, no other digits.
+        for token in ("ind00", "ind01", "ind\u0661", "joint+ind0+ind00"):
+            with pytest.raises(ValueError, match="valid parts"):
+                parse_composition(token, 2)
+        with pytest.raises(ValueError, match="unknown composition part 'ind01'"):
+            selected_parts(CompositionSpec(parts=("ind01",), name="ind01"), [2, 1, 1])
 
     def test_duplicate_part(self):
         with pytest.raises(ValueError, match="repeats"):
@@ -95,16 +94,16 @@ class TestVarianceReportOutput:
         x = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 40))
         result = jive_fit([x, x.copy()], JiveConfig(joint_rank=3, individual_ranks=(0, 0)))
         report = variance_explained(result)
-        assert abs(report.joint_pct[0] - 100.0) <= 1e-9
-        assert report.individual_pct[0] <= 1e-9
-        assert report.residual_pct[0] <= 1e-9
+        assert abs(report["blocks"][0]["joint_pct"] - 100.0) <= 1e-9
+        assert report["blocks"][0]["individual_pct"] <= 1e-9
+        assert report["blocks"][0]["residual_pct"] <= 1e-9
 
     def test_planted_sums(self, fitted):
         model, result, _ = fitted
         report = variance_explained(result)
         for i in range(2):
-            assert 0.0 < report.residual_pct[i] < 5.0
-            assert 99.9 <= report.joint_pct[i] + report.individual_pct[i] + report.residual_pct[i] <= 100.1
+            assert 0.0 < report["blocks"][i]["residual_pct"] < 5.0
+            assert 99.9 <= sum(report["blocks"][i][key] for key in PCT_KEYS) <= 100.1
 
     def test_percentages_invariant_under_block_order(self, fitted):
         model, _, _ = fitted
@@ -112,44 +111,29 @@ class TestVarianceReportOutput:
         forward = variance_explained(jive_fit(model.blocks, config))
         config_swapped = JiveConfig(joint_rank=5, individual_ranks=(4, 3), epsilon=1e-9)
         backward = variance_explained(jive_fit(model.blocks[::-1], config_swapped))
-        np.testing.assert_allclose(forward.joint_pct, backward.joint_pct[::-1], atol=1e-6)
-        np.testing.assert_allclose(forward.residual_pct, backward.residual_pct[::-1], atol=1e-6)
+        for a, b in zip(forward["blocks"], backward["blocks"][::-1], strict=True):
+            assert a["joint_pct"] == pytest.approx(b["joint_pct"], abs=1e-6)
+            assert a["residual_pct"] == pytest.approx(b["residual_pct"], abs=1e-6)
 
-    def test_write_deterministic(self, fitted, tmp_path):
+    def test_write_deterministic(self, fitted):
         model, result, _ = fitted
-        report = variance_explained(result)
-        for fmt in ("tsv", "json"):
-            a, b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
-            write_report(report, a, fmt, provenance={"seed": 0})
-            write_report(report, b, fmt, provenance={"seed": 0})
-            assert a.read_bytes() == b.read_bytes()
+        again = jive_fit(model.blocks, JiveConfig(joint_rank=5, individual_ranks=(3, 4), epsilon=1e-9))
+        reports = [variance_explained(r) for r in (result, again)]
+        assert report_tsv(reports[0]) == report_tsv(reports[1])
+        assert json.dumps(reports[0], sort_keys=True) == json.dumps(reports[1], sort_keys=True)
 
-    def test_tsv_schema(self, fitted, tmp_path):
+    def test_tsv_schema(self, fitted):
         model, result, _ = fitted
-        report = variance_explained(result)
-        path = tmp_path / "report.tsv"
-        write_report(report, path, "tsv")
-        lines = path.read_text().splitlines()
+        lines = report_tsv(variance_explained(result)).splitlines()
         assert lines[0] == "block\tjoint_pct\tindiv_pct\tresid_pct\tjoint_rank\tindiv_rank"
         assert len(lines) == 3
         first = lines[1].split("\t")
         assert first[0] == "block0"
         assert first[4] == "5" and first[5] == "3"
 
-    def test_json_round_trip_full_precision(self, fitted, tmp_path):
+    def test_json_round_trip_full_precision(self, fitted):
         model, result, _ = fitted
         report = variance_explained(result)
-        path = tmp_path / "report.json"
-        write_report(report, path, "json", provenance={"epsilon": 1e-9, "seed": 3})
-        parsed = json.loads(path.read_text())
-        expected = report_json_dict(report, provenance={"epsilon": 1e-9, "seed": 3})
-        for i, block in enumerate(parsed["blocks"]):
-            for key in ("joint_pct", "individual_pct", "residual_pct"):
-                reference = expected["blocks"][i][key]
-                assert block[key] == pytest.approx(reference, rel=1e-15)
-
-    def test_unknown_format(self, fitted, tmp_path):
-        model, result, _ = fitted
-        report = variance_explained(result)
-        with pytest.raises(ValueError, match="report format"):
-            write_report(report, tmp_path / "x", "yaml")
+        assert sorted(report) == ["blocks", "joint_rank"]
+        assert [sorted(b) for b in report["blocks"]] == [sorted(["name", *PCT_KEYS, "individual_rank"])] * 2
+        assert json.loads(json.dumps(report, sort_keys=True, indent=2)) == report

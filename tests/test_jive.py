@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import embedjive.jive
-from embedjive.jive import BlockStack, JiveConfig, jive_fit, variance_explained
+from embedjive.jive import PCT_KEYS, BlockStack, JiveConfig, jive_fit, variance_explained
 from embedjive.linalg import NumericError, principal_angle_sines, truncated_svd
 from embedjive.synthetic import make_planted
 
@@ -71,7 +71,7 @@ class TestFit:
         result = jive_fit([x1, q @ x1], JiveConfig(joint_rank=6, individual_ranks=(0, 0)))
         assert result.residual_history[-1] <= 1e-18
         report = variance_explained(result)
-        assert min(report.joint_pct) >= 100.0 * (1 - 1e-10)
+        assert min(b["joint_pct"] for b in report["blocks"]) >= 100.0 * (1 - 1e-10)
 
     def test_orthogonal_row_spaces_pure_individual(self, rng):
         q = np.linalg.qr(rng.standard_normal((60, 8)))[0]
@@ -131,8 +131,8 @@ class TestFit:
         assert abs(ratio - c**2) <= 1e-8 * c**2
         report_base = variance_explained(base)
         report_scaled = variance_explained(scaled)
-        for a, b in zip(report_base.joint_pct, report_scaled.joint_pct):
-            assert abs(a - b) <= 1e-10 * 100
+        for a, b in zip(report_base["blocks"], report_scaled["blocks"], strict=True):
+            assert abs(a["joint_pct"] - b["joint_pct"]) <= 1e-10 * 100
 
     def test_exact_fit_short_circuit(self, rng):
         x = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 30))
@@ -166,7 +166,7 @@ class TestFit:
         assert principal_angle_sines(result.joint_vt, model.joint_vt).max() <= 0.05
         report = variance_explained(result)
         for i in range(3):
-            total = report.joint_pct[i] + report.individual_pct[i] + report.residual_pct[i]
+            total = sum(report["blocks"][i][key] for key in PCT_KEYS)
             assert 99.9 <= total <= 100.1
 
 
@@ -176,9 +176,9 @@ class TestVarianceExplained:
         result = jive_fit([x, x.copy()], JiveConfig(joint_rank=3, individual_ranks=(0, 0)))
         report = variance_explained(result)
         for i in range(2):
-            assert abs(report.joint_pct[i] - 100.0) <= 1e-9
-            assert report.individual_pct[i] <= 1e-9
-            assert report.residual_pct[i] <= 1e-9
+            assert abs(report["blocks"][i]["joint_pct"] - 100.0) <= 1e-9
+            assert report["blocks"][i]["individual_pct"] <= 1e-9
+            assert report["blocks"][i]["residual_pct"] <= 1e-9
 
     def test_planted_pythagorean_split(self):
         model = make_planted(
@@ -189,7 +189,7 @@ class TestVarianceExplained:
         result = jive_fit(model.blocks, JiveConfig(joint_rank=3, individual_ranks=(2, 2), epsilon=1e-9))
         report = variance_explained(result)
         for i in range(2):
-            total = report.joint_pct[i] + report.individual_pct[i] + report.residual_pct[i]
+            total = sum(report["blocks"][i][key] for key in PCT_KEYS)
             assert 99.9 <= total <= 100.1
 
     def test_matches_planted_split_noiseless(self):
@@ -198,9 +198,9 @@ class TestVarianceExplained:
         report = variance_explained(result)
         for i in range(2):
             joint, individual, residual = model.expected_pct(i)
-            assert abs(report.joint_pct[i] - joint) <= 1e-6
-            assert abs(report.individual_pct[i] - individual) <= 1e-6
-            assert abs(report.residual_pct[i] - residual) <= 1e-6
+            assert abs(report["blocks"][i]["joint_pct"] - joint) <= 1e-6
+            assert abs(report["blocks"][i]["individual_pct"] - individual) <= 1e-6
+            assert abs(report["blocks"][i]["residual_pct"] - residual) <= 1e-6
 
 
 def reference_fit(blocks, config, warm=True):
@@ -283,7 +283,7 @@ class TestCompressedFit:
             assert np.abs(result.loadings[i] - loadings[i]).max() <= 1e-10
             assert np.abs(result.individual_scores[i] - scores[i]).max() <= 1e-10
         report = variance_explained(result)
-        got = np.array([report.joint_pct, report.individual_pct, report.residual_pct]).T
+        got = np.array([[b[key] for key in PCT_KEYS] for b in report["blocks"]])
         assert np.abs(got - np.array(pct)).max() <= 1e-10
 
     def test_warm_and_cold_sweeps_reach_the_same_fit(self):

@@ -1,4 +1,5 @@
-"""The scripts under ``scripts/`` run end to end and print what they document.
+"""The scripts under ``scripts/`` and the README's quick start run end to end
+and print what they document.
 
 Each runs as its own process, the way a user starts it, so a helper that a
 script imports and the package no longer has fails here.  So does the CLI's
@@ -11,6 +12,9 @@ import pathlib
 import re
 import subprocess
 import sys
+
+from embedjive.embed_io import parse_embedding, write_embedding
+from test_cli import planted_inputs
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -74,3 +78,20 @@ def test_cli_exit_codes(tmp_path):
     assert not any((tmp_path / d).exists() for d in "ab")
     assert exit_code({"out_dir": "model"}, *decompose) == 0
     assert (tmp_path / "model" / "model.json").is_file()
+
+
+def test_readme_quick_start(tmp_path):
+    """The README's python block, run as written next to the two files it reads."""
+    code = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL).group(1)
+    glove, second = planted_inputs(tmp_path, (24, 30), 400, 8, (4, 6), seed=1)
+    pathlib.Path(glove).rename(tmp_path / "glove.50d.txt")
+    write_embedding(parse_embedding(second), tmp_path / "w2v.vec", "word2vec-text")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=ENV, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert re.fullmatch(r"(tolerance|exact_fit) 8 \[\S+, \S+\]", lines[0])
+    assert lines[1] == "block\tjoint_pct\tindiv_pct\tresid_pct\tjoint_rank\tindiv_rank"
+    assert [line.split("\t")[0] for line in lines[2:]] == ["glove.50d", "w2v"]
+    names = ["joint", "ind0", "ind1", "joint+ind0", "joint+ind1", "ind0+ind1", "joint+ind0+ind1"]
+    assert all((tmp_path / f"{name}.txt").is_file() for name in names)
