@@ -16,6 +16,7 @@ import platform
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -24,12 +25,13 @@ import embedjive
 from embedjive.compose import parse_composition, selected_parts, standard_compositions
 from embedjive.embed_io import EmbeddingMatrix, align_vocabularies, parse_embedding, preprocess, write_embedding
 from embedjive.evaluate import evaluate, read_corpus_tsv, train_linear
-from embedjive.jive import PCT_KEYS, BlockStack, JiveConfig, jive_fit, report_tsv, variance_explained
-from embedjive.linalg import NumericError
+from embedjive.jive import BlockStack, JiveConfig, jive_fit, report_tsv, variance_explained
+from embedjive.linalg import NumericError, singular_values
 from embedjive.rank_select import (
     RankDecision,
     check_settings,
     estimate_signal_rank,
+    numerical_rank,
     select_individual_ranks,
     select_joint_rank,
 )
@@ -49,14 +51,27 @@ MODEL_FILE = "model.json"
 REPORT_FILE = "report.json"
 MANIFEST_FILE = "manifest.json"
 
-# Run-record keys that report.json echoes as its provenance, and those that
-# the decompose manifest echoes as its configuration.
-PROVENANCE_KEYS = ("joint_rank", "individual_ranks", "epsilon", "max_iter", "seed", "tau", "converged", "iterations")
+# Run-record keys that the variance report echoes as its provenance, and those
+# that the decompose manifest echoes as its configuration.
+PROVENANCE_KEYS = ("joint_rank", "individual_ranks", "epsilon", "max_iter", "seed", "tau", "converged", "iterations",
+                   "package_version")
 CONFIG_KEYS = ("joint_rank", "individual_ranks", "epsilon", "max_iter", "seed")
-# Run-record keys that compose and report read back, and the keys of each
-# block entry of report.json.
-MODEL_KEYS = ("block_names", "n_words", "joint_file", "joint_rank", "individual_files", "individual_ranks")
-REPORT_BLOCK_KEYS = {"name", *PCT_KEYS, "individual_rank"}
+
+# Every run-record key that compose and report read back, as rows of: what its
+# value must be, the check, the keys holding one such value, and the per-block
+# keys holding a list of one per name in block_names, which is checked first.
+# A bool is no int, and an int no float.
+RECORD_CHECKS = [
+    ("a string", lambda v: type(v) is str, ["package_version"], ["block_names"]),
+    ("a string or null", lambda v: v is None or type(v) is str, ["joint_file"], ["individual_files"]),
+    ("a non-negative int", lambda v: type(v) is int and v >= 0, ["n_words", "joint_rank", "max_iter", "iterations"],
+     ["individual_ranks"]),
+    ("an int", lambda v: type(v) is int, ["seed"], []),
+    ("a bool", lambda v: type(v) is bool, ["converged"], []),
+    ("a finite non-negative float", lambda v: type(v) is float and 0 <= v < np.inf, ["epsilon"],
+     ["block_sq_norms", "joint_sq", "individual_sq", "residual_sq"]),
+    ("a finite non-negative float or null", lambda v: v is None or type(v) is float and 0 <= v < np.inf, ["tau"], []),
+]
 
 
 def _sha256(path: Path) -> str:
@@ -105,7 +120,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[dict
         "inputs": inputs,
         "outputs": sorted(outputs),
     }
-    (out_dir / MANIFEST_FILE).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    (out_dir / MANIFEST_FILE).write_text(_json_text(manifest), encoding="utf-8")
 
 
 def _entries(text: str, what: str) -> list[str]:
@@ -140,7 +155,9 @@ def _input_stack(args):
 
 def _resolve_ranks(args, stack: BlockStack) -> tuple[int, list[int], RankDecision | None]:
     """Pinned ranks as given; an auto individual rank is the block's signal
-    rank minus the joint rank, from the rank decision when there is one."""
+    rank minus the joint rank, from the rank decision when there is one.
+    Either way the joint plus a block's individual rank may not exceed the
+    block's numerical rank."""
     decision = None
     if args.joint_rank == "auto":
         decision = select_joint_rank(
@@ -162,6 +179,12 @@ def _resolve_ranks(args, stack: BlockStack) -> tuple[int, list[int], RankDecisio
         individual_ranks = decision.individual_ranks
     else:
         individual_ranks = select_individual_ranks(_signal_ranks(stack, args.energy), joint_rank)
+    for i, r_i in enumerate(individual_ranks):
+        # Past a block's numerical rank the fit would write arbitrary directions as factors.
+        rank = numerical_rank(singular_values(stack.block(i)), stack.shapes[i])
+        if joint_rank + r_i > rank:
+            raise ValueError(f"joint rank {joint_rank} plus individual rank {r_i} exceeds the numerical rank"
+                             f" {rank} of block {i} ({stack.names[i]})")
     return joint_rank, individual_ranks, decision
 
 
@@ -210,8 +233,8 @@ def cmd_decompose(args) -> int:
         )
 
     out_dir = Path(args.out_dir)
-    record, report = _write_model(out_dir, args, input_records, stack, result, decision, align_report.dropped_per_source)
-    print(report_tsv(report), end="")
+    record = _write_model(out_dir, args, input_records, stack, result, decision, align_report.dropped_per_source)
+    print(report_tsv(_report(record)), end="")
     print(f"converged={result.converged} iterations={result.iterations} out_dir={out_dir}")
     violations = _invariant_violations(record)
     if violations:
@@ -221,8 +244,9 @@ def cmd_decompose(args) -> int:
 
 def _write_model(out_dir: Path, args, inputs: list[dict], stack: BlockStack, result, decision, n_dropped):
     """Write the model directory from one run record: the factor files,
-    ``report.json``, ``fit_log.txt``, ``model.json`` (the record itself) and
-    the manifest.  Returns the record and the variance report."""
+    ``report.json`` (the record's variance report, for readers: nothing reads
+    it back), ``fit_log.txt``, ``model.json`` (the record itself) and the
+    manifest.  Returns the record."""
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
 
@@ -238,6 +262,9 @@ def _write_model(out_dir: Path, args, inputs: list[dict], stack: BlockStack, res
         "block_names": result.block_names,
         "block_dims": stack.dims,
         "block_sq_norms": result.block_sq_norms,
+        "joint_sq": result.joint_sq,
+        "individual_sq": result.individual_sq,
+        "residual_sq": result.residual_sq,
         "n_words": stack.n,
         "n_dropped": n_dropped,
         "joint_rank": result.joint_rank,
@@ -258,24 +285,34 @@ def _write_model(out_dir: Path, args, inputs: list[dict], stack: BlockStack, res
             "orthogonality_deviation": result.orthogonality_deviation,
             "energy_split_deviation": result.energy_split_deviation,
         },
+        "package_version": embedjive.__version__,
     }
 
-    report = variance_explained(result)
-    provenance = {k: record[k] for k in PROVENANCE_KEYS} | {"package_version": embedjive.__version__}
-    report_text = json.dumps(report | {"provenance": provenance}, sort_keys=True, indent=2) + "\n"
-    (out_dir / REPORT_FILE).write_text(report_text, encoding="utf-8")
+    (out_dir / REPORT_FILE).write_text(_json_text(_report(record)), encoding="utf-8")
     history = result.residual_history
     log_lines = [f"iter=0 R={history[0]!r} rel_change=nan"]
     for t in range(1, len(history)):
         log_lines.append(f"iter={t} R={history[t]!r} rel_change={(history[t - 1] - history[t]) / history[t - 1]!r}")
     (out_dir / "fit_log.txt").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
-    (out_dir / MODEL_FILE).write_text(json.dumps(record, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    (out_dir / MODEL_FILE).write_text(_json_text(record), encoding="utf-8")
     outputs += [REPORT_FILE, "fit_log.txt", MODEL_FILE]
 
     config_echo = {k: record[k] for k in CONFIG_KEYS}
     config_echo.update(energy=args.energy, resamples=args.resamples, quantile=args.quantile)
     _write_manifest(out_dir, "decompose", config_echo, inputs, outputs)
-    return record, report
+    return record
+
+
+def _report(record: dict) -> dict:
+    """A run record's variance report and provenance: what ``report.json``
+    holds and ``report`` prints, the same from the record read back from
+    ``model.json``, since JSON floats round-trip exactly."""
+    provenance = {k: record[k] for k in PROVENANCE_KEYS}
+    return variance_explained(SimpleNamespace(**record)) | {"provenance": provenance}
+
+
+def _json_text(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 def cmd_ranks(args) -> int:
@@ -311,61 +348,61 @@ def cmd_ranks(args) -> int:
 
 
 class _Model(NamedTuple):
-    """A model directory read back: its report's text and decoded value and,
-    for the joint part and then each block's individual part, its rank and
-    each word's checked value tokens (``None`` where no file was written)."""
+    """A model directory read back: its checked run record and, for the joint
+    part and then each block's individual part, its rank and each word's
+    checked value tokens (``None`` where no file was written)."""
 
-    report_text: str
-    report: dict
+    record: dict
     vocab: list[str]
     ranks: list[int]
     value_text: list[list[str] | None]
 
 
-def _read_json(path: Path) -> tuple[str, object]:
-    """A JSON file's text and decoded value; a decode error names the file."""
-    text = path.read_text(encoding="utf-8")
+def _read_record(path: Path) -> dict:
+    """``model.json`` decoded, with every key that is read back checked
+    against ``RECORD_CHECKS``."""
+    if not path.exists():
+        raise ValueError(f"model sidecar not found: {path}")
     try:
-        return text, json.loads(text)
+        record = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(record, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    missing = [k for _, _, keys, block_keys in RECORD_CHECKS for k in keys + block_keys if k not in record]
+    if missing:
+        raise ValueError(f"{path} is missing {', '.join(map(repr, missing))}")
+    names = record["block_names"]
+    for what, is_kind, keys, block_keys in RECORD_CHECKS:
+        for key in keys:
+            if not is_kind(record[key]):
+                raise ValueError(f"{path}: {key!r} must be {what}")
+        for key in block_keys:
+            value = record[key]
+            if not (isinstance(value, list) and len(value) == len(names) and all(map(is_kind, value))):
+                raise ValueError(f"{path}: {key!r} must be a list with {what} per block")
+    return record
 
 
 def _read_model(model_dir: Path) -> _Model:
-    """Read a directory written by ``decompose``, checking that ``model.json``
-    names one factor file (or null) per block, that each file holds the
-    recorded rank of finite numbers over the recorded words, with one
-    vocabulary, and that ``report.json`` holds a joint rank and one block
-    entry per recorded block, each with its keys and numeric percentages."""
-    path = model_dir / MODEL_FILE
-    if not path.exists():
-        raise ValueError(f"model sidecar not found: {path}")
-    record = _read_json(path)[1]
-    if not isinstance(record, dict):
-        raise ValueError(f"{path} must hold a JSON object")
-    missing = [k for k in MODEL_KEYS if k not in record]
-    if missing:
-        raise ValueError(f"{path} is missing {', '.join(map(repr, missing))}")
-    n_words, files, ranks = record["n_words"], record["individual_files"], record["individual_ranks"]
-    if not len(files) == len(ranks) == len(record["block_names"]):
-        raise ValueError(
-            f"{path} lists {len(files)} individual factor files and {len(ranks)} ranks"
-            f" for {len(record['block_names'])} blocks"
-        )
-    parts = [(record["joint_file"], record["joint_rank"]), *zip(files, ranks)]
+    """Read a directory written by ``decompose``: its checked ``model.json``,
+    and each factor file, checked to hold the recorded rank of finite
+    numbers over the recorded words, with one vocabulary."""
+    record = _read_record(model_dir / MODEL_FILE)
+    parts = [(record["joint_file"], record["joint_rank"]), *zip(record["individual_files"], record["individual_ranks"])]
     vocab, value_text = None, []
     for name, rank in parts:
         if name is None:
             if rank:
-                raise ValueError(f"{path} records rank {rank} for a part without a factor file")
+                raise ValueError(f"{model_dir / MODEL_FILE} records rank {rank} for a part without a factor file")
             value_text.append(None)
             continue
         text: list[str] = []
         matrix = parse_embedding(model_dir / name, "glove-text", value_text=text)
-        if (matrix.dim, matrix.n_words) != (rank, n_words):
+        if (matrix.dim, matrix.n_words) != (rank, record["n_words"]):
             raise ValueError(
                 f"factor file {model_dir / name} holds rank {matrix.dim} over {matrix.n_words} words;"
-                f" {MODEL_FILE} records rank {rank} over {n_words}"
+                f" {MODEL_FILE} records rank {rank} over {record['n_words']}"
             )
         if vocab is None:
             vocab = matrix.vocab
@@ -374,19 +411,7 @@ def _read_model(model_dir: Path) -> _Model:
         value_text.append(text)
     if vocab is None:
         raise ValueError(f"model in {model_dir} has no stored factors")
-    report_path = model_dir / REPORT_FILE
-    report_text, report = _read_json(report_path)
-    blocks = report.get("blocks") if isinstance(report, dict) else None
-    if not (isinstance(blocks, list) and "joint_rank" in report and len(blocks) == len(ranks)
-            and all(map(_is_report_block, blocks))):
-        raise ValueError(f"{report_path} does not hold a variance report of the {len(ranks)} blocks in {MODEL_FILE}")
-    return _Model(report_text, report, vocab, [rank for _, rank in parts], value_text)
-
-
-def _is_report_block(entry) -> bool:
-    """A ``report.json`` block entry with every key and numeric percentages."""
-    return isinstance(entry, dict) and REPORT_BLOCK_KEYS <= entry.keys() and all(
-        isinstance(entry[k], (int, float)) and not isinstance(entry[k], bool) for k in PCT_KEYS)
+    return _Model(record, vocab, [rank for _, rank in parts], value_text)
 
 
 def cmd_compose(args) -> int:
@@ -448,8 +473,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    model = _read_model(Path(args.model))
-    text = report_tsv(model.report) if args.format == "tsv" else model.report_text
+    report = _report(_read_model(Path(args.model)).record)
+    text = report_tsv(report) if args.format == "tsv" else _json_text(report)
     if args.out is None:
         print(text, end="")
     else:
@@ -513,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("report", allow_abbrev=False, help="re-emit the variance report from a model directory")
+    p = sub.add_parser("report", allow_abbrev=False, help="print the variance report of a model directory's model.json")
     p.add_argument("--model", required=True)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.add_argument("--out", default=None, help="output file; stdout if omitted")

@@ -84,6 +84,13 @@ def estimate_signal_rank(block, energy: float = 0.95) -> int:
     return min(t, min(arr.shape))
 
 
+def numerical_rank(s: np.ndarray, shape: tuple[int, int]) -> int:
+    """How many of a ``p x n`` block's singular values ``s`` (descending) lie
+    above ``s[0] * max(p, n) * eps``: a direction past that floor is
+    arbitrary, not signal."""
+    return int((s > s[0] * max(shape) * np.finfo(float).eps).sum())
+
+
 def select_joint_rank(
     blocks,
     signal_ranks,
@@ -117,13 +124,11 @@ def select_joint_rank(
 
     # Full SVDs: the signal rows come first, the residual spectrum after them.
     svds = [truncated_svd(arr, min(arr.shape)) for arr in arrays]
-    for i, (svd, t_i, (p, _)) in enumerate(zip(svds, t, stack.shapes)):
-        # A direction past the numerical rank is arbitrary, not signal.
-        floor = svd.S[0] * max(p, n) * np.finfo(float).eps
-        if svd.S[t_i - 1] <= floor:
+    for i, (svd, t_i, shape) in enumerate(zip(svds, t, stack.shapes)):
+        rank = numerical_rank(svd.S, shape)
+        if t_i > rank:
             raise ValueError(
-                f"signal rank {t_i} exceeds the numerical rank {int((svd.S > floor).sum())}"
-                f" of block {i} ({stack.names[i]})")
+                f"signal rank {t_i} exceeds the numerical rank {rank} of block {i} ({stack.names[i]})")
     stacked_bases = np.hstack([svd.Vt[:t_i].T for svd, t_i in zip(svds, t)])
     spectrum = np.clip(np.linalg.eigvalsh(stacked_bases.T @ stacked_bases)[::-1], 0.0, None)
 

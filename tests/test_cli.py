@@ -37,20 +37,34 @@ def _set_value(path, line_index, token):
     path.write_text("".join(lines))
 
 
-def _drop_key(model_dir, key):
+def _drop_key(model_dir, *keys):
     record = json.loads((model_dir / "model.json").read_text())
-    del record[key]
+    for key in keys:
+        del record[key]
     (model_dir / "model.json").write_text(json.dumps(record))
 
 
-def _edit_report(model_dir, edit):
-    """Rewrite ``report.json`` as ``edit`` returns it from the decoded report."""
-    path = model_dir / "report.json"
-    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+def _set_key(model_dir, key, value):
+    record = json.loads((model_dir / "model.json").read_text())
+    (model_dir / "model.json").write_text(json.dumps(record | {key: value}))
 
 
-def _without(block, key):
-    return {k: v for k, v in block.items() if k != key}
+# One model.json value of the wrong kind at a time, as (test id, key, value);
+# the fixture's model records joint rank 2, individual ranks [1, 1] and 40 words.
+MODEL_MUTATIONS = [
+    *[(f"{key}-{label}", key, value) for key in ("block_names", "individual_files", "individual_ranks")
+      for label, value in [("null", None), ("3", 3), ("true", True)]],
+    *[(f"joint_file-{label}", "joint_file", value)
+      for label, value in [("3", 3), ("list", ["joint.txt"]), ("object", {}), ("true", True)]],
+    ("block_names-nulls", "block_names", [None, None]),
+    ("joint_rank-string", "joint_rank", "2"),
+    ("joint_rank-float", "joint_rank", 2.0),
+    ("n_words-string", "n_words", "40"),
+    ("individual_ranks-float", "individual_ranks", [1.0, 1]),
+    ("joint_sq-negative", "joint_sq", [-0.5, 0.5]),
+    ("epsilon-string", "epsilon", "1e-06"),
+    ("converged-int", "converged", 1),
+]
 
 
 def planted_inputs(tmp_path, dims, n, joint_rank, individual_ranks, seed):
@@ -134,6 +148,21 @@ class TestDecompose:
         )
         assert code == 2
         assert "empty model" in capsys.readouterr().err
+
+    def test_pinned_ranks_above_numerical_rank_exit_2(self, input_files, tmp_path, capsys):
+        # Three equal rows make a rank-1 block; a second individual direction
+        # there would be an arbitrary null direction written out as a factor.
+        path = tmp_path / "rank1.txt"
+        row = np.random.default_rng(5).standard_normal(40)
+        write_embedding(EmbeddingMatrix([f"w{i:03d}" for i in range(40)], np.vstack([row] * 3), "rank1"), path)
+        out = tmp_path / "out"
+        argv = ["decompose", "--input", input_files[0], "--input", str(path), "--joint-rank", "1",
+                "--individual-ranks", "2,2", "--out-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "joint rank 1 plus individual rank 2 exceeds the numerical rank 1 of block 1 (rank1)" in err
+        assert not out.exists()
+        assert main(argv[:-3] + ["2,0", "--out-dir", str(out)]) == 0
 
     def test_needs_two_inputs(self, input_files, tmp_path, capsys):
         code = main(["decompose", "--input", input_files[0], "--out-dir", str(tmp_path / "out")])
@@ -372,9 +401,6 @@ class TestRanks:
         assert (out / "manifest.json").exists()
 
 
-NOT_A_REPORT = "report.json does not hold a variance report of the 2 blocks in model.json"
-
-
 class TestCompose:
     @pytest.fixture()
     def model_dir(self, input_files, tmp_path, capsys):
@@ -424,28 +450,21 @@ class TestCompose:
             (lambda d: (d / "ind_0.txt").write_bytes((d / "joint.txt").read_bytes()), "ind_0.txt"),
             (lambda d: (d / "ind_1.txt").write_text("".join((d / "ind_1.txt").read_text().splitlines(True)[:-1])),
              "ind_1.txt"),
-            (lambda d: (d / "model.json").write_text(
-                json.dumps({**json.loads((d / "model.json").read_text()), "individual_files": ["ind_0.txt"]})),
-             "model.json"),
+            (lambda d: _set_key(d, "individual_files", ["ind_0.txt"]), "model.json"),
             (lambda d: (d / "model.json").write_text("[]"), "model.json"),
             (lambda d: _set_value(d / "ind_0.txt", 7, "nan"), "ind_0.txt: non-finite value nan for word 'w007'"),
             (lambda d: _set_value(d / "joint.txt", 0, "-inf"), "joint.txt: non-finite value -inf for word 'w000'"),
             (lambda d: _drop_key(d, "n_words"), "model.json is missing 'n_words'"),
             (lambda d: _drop_key(d, "individual_files"), "model.json is missing 'individual_files'"),
             (lambda d: (d / "model.json").write_text("{not json"), "model.json: invalid JSON"),
-            (lambda d: (d / "report.json").write_text("{not json"), "report.json: invalid JSON"),
-            (lambda d: _edit_report(d, lambda r: []), NOT_A_REPORT),
-            (lambda d: _edit_report(d, lambda r: {}), NOT_A_REPORT),
-            (lambda d: _edit_report(d, lambda r: {"blocks": 3}), NOT_A_REPORT),
-            (lambda d: _edit_report(d, lambda r: r | {"blocks": r["blocks"][:1]}), NOT_A_REPORT),
-            (lambda d: _edit_report(d, lambda r: r | {"blocks": [r["blocks"][0], _without(r["blocks"][1], "residual_pct")]}),
-             NOT_A_REPORT),
-            (lambda d: _edit_report(d, lambda r: r | {"blocks": [r["blocks"][0] | {"joint_pct": "50.0"}, r["blocks"][1]]}),
-             NOT_A_REPORT),
+            # A model directory written before model.json recorded the energies.
+            (lambda d: _drop_key(d, "joint_sq", "individual_sq", "residual_sq", "package_version"),
+             "model.json is missing 'package_version', 'joint_sq', 'individual_sq', 'residual_sq'"),
+            *[(lambda d, k=key, v=value: _set_key(d, k, v), f"model.json: {key!r} must be a")
+              for _, key, value in MODEL_MUTATIONS],
         ],
         ids=["rank", "word-count", "file-per-block", "not-an-object", "nan", "inf", "no-n-words", "no-individual-files",
-             "model-not-json", "report-not-json", "report-list", "report-empty", "report-blocks-not-list",
-             "report-block-missing", "report-no-residual-pct", "report-string-pct"],
+             "model-not-json", "no-energies", *[name for name, _, _ in MODEL_MUTATIONS]],
     )
     def test_factor_files_checked_against_model(self, model_dir, tmp_path, capsys, tamper, named):
         tamper(model_dir)
@@ -607,6 +626,22 @@ class TestReport:
         assert out_file.read_bytes() == (model_dir / "report.json").read_bytes()
         assert main(["report", "--model", str(model_dir), "--format", "tsv"]) == 0
         assert capsys.readouterr().out == table
+
+    def test_report_ignores_report_json(self, input_files, tmp_path, capsys):
+        # report derives both formats from model.json; report.json is never read back.
+        model_dir = tmp_path / "model"
+        run_decompose(input_files, model_dir)
+        table = capsys.readouterr().out.split("converged=")[0]
+        path = model_dir / "report.json"
+        original = path.read_text()
+        report = json.loads(original)
+        tampered = report | {"joint_rank": 99, "blocks": [report["blocks"][0] | {"name": "x"}, *report["blocks"][1:]]}
+        for edit in (lambda: path.write_text(json.dumps(tampered)), path.unlink):
+            edit()
+            assert main(["report", "--model", str(model_dir), "--format", "json"]) == 0
+            assert capsys.readouterr().out == original
+            assert main(["report", "--model", str(model_dir), "--format", "tsv"]) == 0
+            assert capsys.readouterr().out == table
 
 
 class TestConfigFile:

@@ -10,6 +10,7 @@ import json
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 
@@ -78,6 +79,13 @@ def test_cli_exit_codes(tmp_path):
     assert not any((tmp_path / d).exists() for d in "ab")
     assert exit_code({"out_dir": "model"}, *decompose) == 0
     assert (tmp_path / "model" / "model.json").is_file()
+    # A model.json value of the wrong kind is a usage error, not a traceback.
+    shutil.copytree(tmp_path / "model", tmp_path / "copy")
+    record = json.loads((tmp_path / "copy" / "model.json").read_text())
+    (tmp_path / "copy" / "model.json").write_text(json.dumps(record | {"individual_files": 3}))
+    proc = subprocess.run([sys.executable, "-m", "embedjive", "report", "--model", "copy"], cwd=tmp_path, env=ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_readme_quick_start(tmp_path):
