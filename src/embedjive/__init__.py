@@ -25,7 +25,7 @@ from embedjive.jive import (
     report_tsv,
     variance_explained,
 )
-from embedjive.linalg import NumericError, TruncatedSVD, project_rows_off, truncated_svd
+from embedjive.linalg import NumericError, TruncatedSVD, truncated_svd
 from embedjive.rank_select import (
     RankDecision,
     estimate_signal_rank,
@@ -59,7 +59,6 @@ __all__ = [
     "jive_fit",
     "parse_embedding",
     "preprocess",
-    "project_rows_off",
     "report_tsv",
     "select_individual_ranks",
     "select_joint_rank",

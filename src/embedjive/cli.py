@@ -43,7 +43,8 @@ EXIT_NUMERIC = 3
 # Fit invariants checked after every decompose: the residual may not rise by
 # more than this fraction of the stacked blocks' energy between sweeps, no
 # |J_i A_i'| entry may exceed this fraction of ||X_i||_F^2, nor may the three
-# parts' energies miss ||X_i||_F^2 by more.
+# parts' energies miss ||X_i||_F^2 by more.  Reading model.json back checks the
+# energy split again.
 RESIDUAL_INCREASE_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-8
 
@@ -360,7 +361,8 @@ class _Model(NamedTuple):
 
 def _read_record(path: Path) -> dict:
     """``model.json`` decoded, with every key that is read back checked
-    against ``RECORD_CHECKS``."""
+    against ``RECORD_CHECKS``, and each block's energy positive and split
+    into its three parts as ``decompose`` requires."""
     if not path.exists():
         raise ValueError(f"model sidecar not found: {path}")
     try:
@@ -381,6 +383,16 @@ def _read_record(path: Path) -> dict:
             value = record[key]
             if not (isinstance(value, list) and len(value) == len(names) and all(map(is_kind, value))):
                 raise ValueError(f"{path}: {key!r} must be a list with {what} per block")
+    for i, name in enumerate(names):
+        x_sq = record["block_sq_norms"][i]
+        if x_sq == 0.0:
+            raise ValueError(f"{path}: 'block_sq_norms' must be positive; block {i} ({name!r}) has 0.0")
+        parts = record["joint_sq"][i] + record["individual_sq"][i] + record["residual_sq"][i]
+        if abs(parts - x_sq) > ORTHOGONALITY_TOL * x_sq:
+            raise ValueError(
+                f"{path}: 'joint_sq' + 'individual_sq' + 'residual_sq' of block {i} ({name!r}) is {parts!r},"
+                f" not its 'block_sq_norms' {x_sq!r} within {ORTHOGONALITY_TOL:g} of it"
+            )
     return record
 
 

@@ -174,8 +174,9 @@ def _parses_as_float(token: str) -> bool:
 def write_embedding(matrix: EmbeddingMatrix, path: str | Path, fmt: str = "glove-text") -> None:
     """Write ``matrix`` as text; ``parse_embedding`` recovers it exactly.
 
-    Values are printed in shortest-round-trip scientific notation padded to at
-    least 9 significant digits, so write->parse is lossless.
+    Each value is written as Python's ``repr`` of the float: the shortest
+    decimal string that parses back to the same double, so write->parse is
+    lossless and reruns give the same bytes.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown embedding format {fmt!r}; expected one of {FORMATS}")
@@ -188,13 +189,8 @@ def write_embedding(matrix: EmbeddingMatrix, path: str | Path, fmt: str = "glove
     with path.open("w", encoding="utf-8") as fh:
         if fmt == "word2vec-text":
             fh.write(f"{matrix.n_words} {matrix.dim}\n")
-        columns = matrix.data.T
-        for word, vec in zip(matrix.vocab, columns):
-            fh.write(word)
-            for v in vec:
-                fh.write(" ")
-                fh.write(np.format_float_scientific(v, unique=True, min_digits=8, trim="k"))
-            fh.write("\n")
+        for word, row in zip(matrix.vocab, matrix.data.T.tolist()):
+            fh.write(f"{word} {' '.join(map(repr, row))}\n")
 
 
 def align_vocabularies(inputs: list[EmbeddingMatrix]) -> tuple[list[EmbeddingMatrix], AlignmentReport]:

@@ -15,10 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Accepted deviation from orthonormality for validated basis inputs.
-ROW_ORTHO_TOL = 1e-8
-
-
 class NumericError(ArithmeticError):
     """A computation produced or received non-finite values."""
 
@@ -71,26 +67,6 @@ def truncated_svd(matrix, k: int) -> TruncatedSVD:
 def singular_values(matrix) -> np.ndarray:
     """All ``min(p, n)`` singular values, descending, from LAPACK."""
     return np.linalg.svd(_checked_matrix(matrix), compute_uv=False)
-
-
-def project_rows_off(matrix, vt) -> np.ndarray:
-    """Project the rows of ``matrix`` off the row space spanned by ``vt``.
-
-    ``vt`` must have (near-)orthonormal rows; an empty basis returns a copy.
-    The projector is applied as ``M - (M vt') vt`` so no ``n x n`` matrix is
-    formed.
-    """
-    m = _checked_matrix(matrix)
-    basis = np.asarray(vt, dtype=float)
-    if basis.ndim != 2 or basis.shape[1] != m.shape[1]:
-        raise ValueError(f"dimension mismatch: matrix has {m.shape[1]} columns, basis has shape {basis.shape}")
-    if basis.shape[0] == 0:
-        return m.copy()
-    gram = basis @ basis.T
-    deviation = float(np.abs(gram - np.eye(basis.shape[0])).max())
-    if deviation > ROW_ORTHO_TOL:
-        raise ValueError(f"basis rows are not orthonormal (max deviation {deviation:.3e})")
-    return m - (m @ basis.T) @ basis
 
 
 def principal_angle_sines(vt_a, vt_b) -> np.ndarray:

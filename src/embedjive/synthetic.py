@@ -13,7 +13,30 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import project_rows_off, truncated_svd
+from .linalg import truncated_svd
+
+# Accepted deviation from orthonormality for validated basis inputs.
+ROW_ORTHO_TOL = 1e-8
+
+
+def project_rows_off(matrix, vt) -> np.ndarray:
+    """Project the rows of ``matrix`` off the row space spanned by ``vt``.
+
+    ``vt`` must have (near-)orthonormal rows; an empty basis returns a copy.
+    The projector is applied as ``M - (M vt') vt`` so no ``n x n`` matrix is
+    formed.
+    """
+    m = np.asarray(matrix, dtype=float)
+    basis = np.asarray(vt, dtype=float)
+    if m.ndim != 2 or basis.ndim != 2 or basis.shape[1] != m.shape[1]:
+        raise ValueError(f"dimension mismatch: matrix has shape {m.shape}, basis has shape {basis.shape}")
+    if basis.shape[0] == 0:
+        return m.copy()
+    gram = basis @ basis.T
+    deviation = float(np.abs(gram - np.eye(basis.shape[0])).max())
+    if deviation > ROW_ORTHO_TOL:
+        raise ValueError(f"basis rows are not orthonormal (max deviation {deviation:.3e})")
+    return m - (m @ basis.T) @ basis
 
 
 @dataclass

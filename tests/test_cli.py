@@ -8,7 +8,8 @@ import embedjive.cli
 from corpus_util import clean_noisy_pair, separable_corpus, write_corpus_tsv
 from embedjive.cli import main
 from embedjive.compose import compose, standard_compositions
-from embedjive.embed_io import EmbeddingMatrix, parse_embedding, write_embedding
+from embedjive.embed_io import EmbeddingMatrix, align_vocabularies, parse_embedding, preprocess, write_embedding
+from embedjive.jive import BlockStack, JiveConfig, jive_fit
 from embedjive.synthetic import make_planted
 
 
@@ -190,6 +191,23 @@ class TestDecompose:
         log_lines = (out / "fit_log.txt").read_text().splitlines()
         assert log_lines[0].startswith("iter=0 R=")
         assert all("rel_change=" in line for line in log_lines)
+
+    def test_factor_files_hold_the_fitted_floats(self, tmp_path, capsys):
+        paths = planted_inputs(tmp_path, (24, 30), 400, 8, (4, 6), seed=1)
+        out = tmp_path / "out"
+        argv = ["decompose", "--input", paths[0], "--input", paths[1], "--joint-rank", "8",
+                "--individual-ranks", "4,6", "--out-dir", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        aligned, _ = align_vocabularies([parse_embedding(path) for path in paths])
+        stack = BlockStack([preprocess(m) for m in aligned])
+        result = jive_fit(stack, JiveConfig(joint_rank=8, individual_ranks=(4, 6)))
+        fitted = {"joint.txt": result.joint_basis, "ind_0.txt": result.individual_scores[0],
+                  "ind_1.txt": result.individual_scores[1]}
+        for name, scores in fitted.items():
+            factor = parse_embedding(out / name, "glove-text")
+            assert factor.vocab == stack.vocab, name
+            assert np.array_equal(factor.data, scores), name
 
     def test_fit_log_follows_residual_history(self, input_files, tmp_path, capsys):
         out = tmp_path / "out"
@@ -462,9 +480,15 @@ class TestCompose:
              "model.json is missing 'package_version', 'joint_sq', 'individual_sq', 'residual_sq'"),
             *[(lambda d, k=key, v=value: _set_key(d, k, v), f"model.json: {key!r} must be a")
               for _, key, value in MODEL_MUTATIONS],
+            # Values of the right kind that break the energy split decompose enforces.
+            (lambda d: _set_key(d, "joint_sq", [2.0, 0.1]),
+             "model.json: 'joint_sq' + 'individual_sq' + 'residual_sq' of block 0 ('in0')"),
+            (lambda d: _set_key(d, "block_sq_norms", [0.0, 1.0]),
+             "model.json: 'block_sq_norms' must be positive; block 0 ('in0') has 0.0"),
         ],
         ids=["rank", "word-count", "file-per-block", "not-an-object", "nan", "inf", "no-n-words", "no-individual-files",
-             "model-not-json", "no-energies", *[name for name, _, _ in MODEL_MUTATIONS]],
+             "model-not-json", "no-energies", *[name for name, _, _ in MODEL_MUTATIONS], "joint_sq-split",
+             "block_sq_norms-zero"],
     )
     def test_factor_files_checked_against_model(self, model_dir, tmp_path, capsys, tamper, named):
         tamper(model_dir)

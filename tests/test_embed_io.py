@@ -172,7 +172,7 @@ class TestWrite:
         write_embedding(m, path)
         back = parse_embedding(path, "glove-text")
         assert back.vocab == m.vocab
-        assert np.abs(back.data - m.data).max() <= 1e-9
+        np.testing.assert_array_equal(back.data, m.data)
 
     def test_word2vec_round_trip(self, tmp_path, rng):
         m = EmbeddingMatrix(vocab=["x", "y"], data=rng.standard_normal((4, 2)))
@@ -187,13 +187,25 @@ class TestWrite:
         with pytest.raises(ValueError, match="word contains whitespace"):
             write_embedding(m, tmp_path / "out.txt")
 
-    def test_values_have_nine_significant_digits(self, tmp_path):
-        m = EmbeddingMatrix(vocab=["a"], data=[[0.5]])
+    def test_values_are_shortest_round_trip_repr(self, tmp_path, rng):
+        m = EmbeddingMatrix(vocab=["a", "b", "c"], data=np.hstack([[[0.5], [-2.0]], rng.standard_normal((2, 2))]))
         path = tmp_path / "out.txt"
         write_embedding(m, path)
-        token = path.read_text().split()[1]
-        mantissa = token.split("e")[0].replace("-", "").replace(".", "")
-        assert len(mantissa) >= 9
+        lines = path.read_text().splitlines()
+        assert lines[0] == "a 0.5 -2.0"
+        tokens = [token for line in lines for token in line.split()[1:]]
+        assert len(tokens) == 6
+        assert all(token == repr(float(token)) for token in tokens)
+
+    @pytest.mark.parametrize("fmt", ["glove-text", "word2vec-text"])
+    def test_edge_values_round_trip(self, tmp_path, fmt):
+        values = [-0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-5, 1 / 3]
+        m = EmbeddingMatrix(vocab=["x", "y"], data=np.array([values, [-v for v in values]]).T)
+        path = tmp_path / "out.txt"
+        write_embedding(m, path, fmt)
+        back = parse_embedding(path, fmt)
+        np.testing.assert_array_equal(back.data, m.data)
+        assert np.signbit(back.data[0, 0]) and not np.signbit(back.data[0, 1])
 
 
 words_strategy = st.lists(

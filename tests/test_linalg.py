@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from embedjive.linalg import (
     NumericError,
     principal_angle_sines,
-    project_rows_off,
     singular_values,
     truncated_svd,
 )
+from embedjive.synthetic import project_rows_off
 
 
 def jacobi_gram_eigvals(gram, sweeps=60):
