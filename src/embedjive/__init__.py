@@ -9,7 +9,6 @@ embeddings, and a small linear classifier for comparing them on labeled text.
 """
 
 from embedjive.embed_io import (
-    AlignmentReport,
     EmbeddingMatrix,
     FormatError,
     align_vocabularies,
@@ -33,21 +32,18 @@ from embedjive.rank_select import (
     select_joint_rank,
 )
 from embedjive.compose import CompositionSpec, compose, standard_compositions
-from embedjive.evaluate import EvalResult, LabeledCorpus, LinearModel, evaluate, featurize, train_linear
+from embedjive.evaluate import LabeledCorpus, evaluate, train_linear
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentReport",
     "BlockStack",
     "CompositionSpec",
     "EmbeddingMatrix",
-    "EvalResult",
     "FormatError",
     "JiveConfig",
     "JiveResult",
     "LabeledCorpus",
-    "LinearModel",
     "NumericError",
     "RankDecision",
     "TruncatedSVD",
@@ -55,7 +51,6 @@ __all__ = [
     "compose",
     "estimate_signal_rank",
     "evaluate",
-    "featurize",
     "jive_fit",
     "parse_embedding",
     "preprocess",

@@ -150,8 +150,8 @@ def _input_stack(args):
         raise ValueError(f"{args.command} needs at least 2 --input embeddings")
     check_settings(args.energy, args.resamples, args.quantile)
     matrices, input_records = _load_inputs(args.input)
-    aligned, align_report = align_vocabularies(matrices)
-    return BlockStack([preprocess(m) for m in aligned]), input_records, align_report
+    aligned, n_dropped = align_vocabularies(matrices)
+    return BlockStack([preprocess(m) for m in aligned]), input_records, n_dropped
 
 
 def _resolve_ranks(args, stack: BlockStack) -> tuple[int, list[int], RankDecision | None]:
@@ -214,7 +214,7 @@ def _invariant_violations(record: dict) -> list[str]:
 
 
 def cmd_decompose(args) -> int:
-    stack, input_records, align_report = _input_stack(args)
+    stack, input_records, n_dropped = _input_stack(args)
     joint_rank, individual_ranks, decision = _resolve_ranks(args, stack)
     if joint_rank == 0 and not any(individual_ranks):
         raise ValueError("empty model: joint rank 0 and all individual ranks 0")
@@ -234,7 +234,7 @@ def cmd_decompose(args) -> int:
         )
 
     out_dir = Path(args.out_dir)
-    record = _write_model(out_dir, args, input_records, stack, result, decision, align_report.dropped_per_source)
+    record = _write_model(out_dir, args, input_records, stack, result, decision, n_dropped)
     print(report_tsv(_report(record)), end="")
     print(f"converged={result.converged} iterations={result.iterations} out_dir={out_dir}")
     violations = _invariant_violations(record)
@@ -329,14 +329,12 @@ def cmd_ranks(args) -> int:
         quantile=args.quantile,
         seed=args.seed,
     )
-    payload = asdict(decision)
-    payload["block_names"] = stack.names
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    print(text)
+    text = _json_text(asdict(decision) | {"block_names": stack.names})
+    print(text, end="")
     if args.out_dir is not None:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "ranks.json").write_text(text + "\n", encoding="utf-8")
+        (out_dir / "ranks.json").write_text(text, encoding="utf-8")
         config_echo = {
             "signal_ranks": signal_ranks,
             "energy": args.energy,
@@ -469,11 +467,10 @@ def cmd_eval(args) -> int:
     test_corpus = read_corpus_tsv(args.test, split="test")
     rows = []
     for matrix in matrices:
-        model = train_linear(train_corpus, matrix, l2=args.l2)
-        result = evaluate(test_corpus, matrix, model)
-        row = json.dumps(result.to_json_dict(), sort_keys=True)
-        rows.append(row)
-        print(row)
+        weights = train_linear(train_corpus, matrix, l2=args.l2)
+        row = evaluate(test_corpus, matrix, weights) | {"config": {"l2": args.l2}}
+        rows.append(json.dumps(row, sort_keys=True))
+        print(rows[-1])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "results.jsonl").open("a", encoding="utf-8") as fh:
@@ -485,7 +482,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = _report(_read_model(Path(args.model)).record)
+    model_dir = Path(args.model)
+    if args.out is not None and Path(args.out).resolve().parent == model_dir.resolve():
+        raise ValueError(f"--out {args.out} is in the model directory; report would overwrite the model's files")
+    report = _report(_read_model(model_dir).record)
     text = report_tsv(report) if args.format == "tsv" else _json_text(report)
     if args.out is None:
         print(text, end="")

@@ -79,13 +79,6 @@ class EmbeddingMatrix:
         return self._index.get(word)
 
 
-@dataclass
-class AlignmentReport:
-    shared_vocab: list[str]
-    dropped_per_source: list[int]
-    n_shared: int
-
-
 def _looks_like_header(parts: list[str]) -> bool:
     return len(parts) == 2 and all(t.isdigit() for t in parts)
 
@@ -193,8 +186,9 @@ def write_embedding(matrix: EmbeddingMatrix, path: str | Path, fmt: str = "glove
             fh.write(f"{word} {' '.join(map(repr, row))}\n")
 
 
-def align_vocabularies(inputs: list[EmbeddingMatrix]) -> tuple[list[EmbeddingMatrix], AlignmentReport]:
-    """Restrict all blocks to their shared vocabulary, in lexicographic order.
+def align_vocabularies(inputs: list[EmbeddingMatrix]) -> tuple[list[EmbeddingMatrix], list[int]]:
+    """Restrict all blocks to their shared vocabulary, in lexicographic order,
+    and count the words each input dropped.
 
     The canonical order makes alignment deterministic across runs; every
     returned block carries an identical vocabulary list.
@@ -211,12 +205,7 @@ def align_vocabularies(inputs: list[EmbeddingMatrix]) -> tuple[list[EmbeddingMat
     for m in inputs:
         cols = np.fromiter((m._index[w] for w in order), dtype=np.intp, count=len(order))
         aligned.append(EmbeddingMatrix(vocab=list(order), data=m.data[:, cols], name=m.name))
-    report = AlignmentReport(
-        shared_vocab=list(order),
-        dropped_per_source=[m.n_words - len(order) for m in inputs],
-        n_shared=len(order),
-    )
-    return aligned, report
+    return aligned, [m.n_words - len(order) for m in inputs]
 
 
 def preprocess(matrix: EmbeddingMatrix) -> EmbeddingMatrix:

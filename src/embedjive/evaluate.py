@@ -59,37 +59,6 @@ class LabeledCorpus:
         return int(self.labels.max()) + 1
 
 
-@dataclass
-class LinearModel:
-    """Linear discriminant weights, one column per class, bias in the last row."""
-
-    weights: np.ndarray
-    class_count: int
-    config: dict
-
-
-@dataclass
-class EvalResult:
-    accuracy: float
-    precision: list[float]
-    recall: list[float]
-    embedding_name: str
-    config: dict
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.accuracy <= 1.0:
-            raise ValueError(f"accuracy {self.accuracy} outside [0, 1]")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "embedding": self.embedding_name,
-            "accuracy": self.accuracy,
-            "precision": list(self.precision),
-            "recall": list(self.recall),
-            "config": self.config,
-        }
-
-
 def read_corpus_tsv(path: str | Path, split: str = "train") -> LabeledCorpus:
     """Read a ``label<TAB>text`` file (UTF-8, one record per line)."""
     path = Path(path)
@@ -152,12 +121,6 @@ def _bag_means(
     return features, hits
 
 
-def featurize(text: str, embedding: EmbeddingMatrix) -> np.ndarray:
-    """Mean embedding column over in-vocabulary tokens; zero vector if none."""
-    features, _ = _bag_means(*_tokenize([text]), 1, embedding)
-    return features[0]
-
-
 def featurize_corpus(corpus: LabeledCorpus, embedding: EmbeddingMatrix) -> tuple[np.ndarray, int]:
     """Feature matrix (records x dim) and the count of texts without an in-vocabulary token."""
     n_records = len(corpus.texts)
@@ -168,8 +131,9 @@ def featurize_corpus(corpus: LabeledCorpus, embedding: EmbeddingMatrix) -> tuple
     return features, all_oov
 
 
-def train_linear(train: LabeledCorpus, embedding: EmbeddingMatrix, l2: float = 1e-4) -> LinearModel:
-    """Fit shrinkage linear discriminant analysis in closed form.
+def train_linear(train: LabeledCorpus, embedding: EmbeddingMatrix, l2: float = 1e-4) -> np.ndarray:
+    """Fit shrinkage linear discriminant analysis in closed form; return the
+    (dim + 1) x classes weights, one column per class, bias in the last row.
 
     Features are centred by their training mean and divided by one scalar,
     the RMS of the centred features, so the fit is invariant to the
@@ -205,18 +169,18 @@ def train_linear(train: LabeledCorpus, embedding: EmbeddingMatrix, l2: float = 1
     bias = np.log(counts / y.size) - 0.5 * np.sum(class_means.T * coef, axis=0)
 
     weights = coef / scale
-    weights = np.vstack([weights, bias - mean @ weights])
-    return LinearModel(weights=weights, class_count=classes, config={"l2": l2})
+    return np.vstack([weights, bias - mean @ weights])
 
 
-def evaluate(test: LabeledCorpus, embedding: EmbeddingMatrix, model: LinearModel) -> EvalResult:
-    """Argmax accuracy plus per-class precision and recall on ``test``."""
+def evaluate(test: LabeledCorpus, embedding: EmbeddingMatrix, weights: np.ndarray) -> dict:
+    """Argmax accuracy plus per-class precision and recall on ``test``, as the
+    row ``{"embedding", "accuracy", "precision", "recall"}``."""
     features, _ = featurize_corpus(test, embedding)
     x = np.hstack([features, np.ones((features.shape[0], 1))])
-    predicted = np.argmax(x @ model.weights, axis=1)
+    predicted = np.argmax(x @ weights, axis=1)
     y = test.labels
     accuracy = float(np.mean(predicted == y))
-    n_classes = max(model.class_count, int(y.max()) + 1)
+    n_classes = max(weights.shape[1], int(y.max()) + 1)
     precision, recall = [], []
     for c in range(n_classes):
         true_pos = int(np.sum((predicted == c) & (y == c)))
@@ -224,10 +188,4 @@ def evaluate(test: LabeledCorpus, embedding: EmbeddingMatrix, model: LinearModel
         actual_c = int(np.sum(y == c))
         precision.append(true_pos / pred_c if pred_c else 0.0)
         recall.append(true_pos / actual_c if actual_c else 0.0)
-    return EvalResult(
-        accuracy=accuracy,
-        precision=precision,
-        recall=recall,
-        embedding_name=embedding.name,
-        config=dict(model.config),
-    )
+    return {"embedding": embedding.name, "accuracy": accuracy, "precision": precision, "recall": recall}

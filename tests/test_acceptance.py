@@ -218,13 +218,13 @@ def test_criterion_8_eval_harness(tmp_path):
         corpus, embedding = separable_corpus(seed=42)
         corpus_path = tmp_path / "corpus.tsv"
         write_corpus_tsv(corpus, corpus_path)
-        model = train_linear(corpus, embedding)
-        assert evaluate(corpus, embedding, model).accuracy == 1.0
+        weights = train_linear(corpus, embedding)
+        assert evaluate(corpus, embedding, weights)["accuracy"] == 1.0
         wins = 0
         for seed in range(10):
             train, test, clean, noisy = clean_noisy_pair(seed)
-            acc_clean = evaluate(test, clean, train_linear(train, clean)).accuracy
-            acc_noisy = evaluate(test, noisy, train_linear(train, noisy)).accuracy
+            acc_clean = evaluate(test, clean, train_linear(train, clean))["accuracy"]
+            acc_noisy = evaluate(test, noisy, train_linear(train, noisy))["accuracy"]
             wins += acc_clean >= acc_noisy
         assert wins >= 9, f"clean embedding won {wins}/10 seed runs"
         assert time.perf_counter() - start < 60.0

@@ -573,10 +573,10 @@ class TestEval:
             ]
         )
         assert code == 0
-        row = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert row["accuracy"] == 1.0
-        lines = (out / "results.jsonl").read_text().strip().splitlines()
-        assert json.loads(lines[-1]) == row
+        row = ('{"accuracy": 1.0, "config": {"l2": 0.0001}, "embedding": "emb", "precision": [1.0, 1.0],'
+               ' "recall": [1.0, 1.0]}')
+        assert capsys.readouterr().out == row + "\n"
+        assert (out / "results.jsonl").read_text() == row + "\n"
 
     def test_results_append(self, tmp_path, capsys):
         corpus, embedding = separable_corpus(seed=24)
@@ -650,6 +650,18 @@ class TestReport:
         assert out_file.read_bytes() == (model_dir / "report.json").read_bytes()
         assert main(["report", "--model", str(model_dir), "--format", "tsv"]) == 0
         assert capsys.readouterr().out == table
+
+    @pytest.mark.parametrize("target", ["model.json", "joint.txt", "./ind_0.txt"])
+    def test_out_may_not_be_in_the_model(self, input_files, tmp_path, capsys, target):
+        model_dir = tmp_path / "model"
+        run_decompose(input_files, model_dir)
+        capsys.readouterr()
+        before = {path.name: path.read_bytes() for path in model_dir.iterdir()}
+        out = str(model_dir / target)
+        assert main(["report", "--model", str(model_dir), "--out", out]) == 2
+        assert f"--out {out} is in the model directory" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in model_dir.iterdir()} == before
+        assert main(["report", "--model", str(model_dir)]) == 0
 
     def test_report_ignores_report_json(self, input_files, tmp_path, capsys):
         # report derives both formats from model.json; report.json is never read back.

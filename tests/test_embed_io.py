@@ -106,16 +106,15 @@ class TestAlign:
 
     def test_intersection(self):
         a, b = self._emb(["a", "b", "c"]), self._emb(["b", "c", "d"], seed=1)
-        aligned, report = align_vocabularies([a, b])
-        assert report.shared_vocab == ["b", "c"]
-        assert report.dropped_per_source == [1, 1]
-        assert report.n_shared == 2
+        aligned, dropped = align_vocabularies([a, b])
+        assert aligned[0].vocab == aligned[1].vocab == ["b", "c"]
+        assert dropped == [1, 1]
         np.testing.assert_array_equal(aligned[0].data, a.data[:, [1, 2]])
 
     def test_identity(self):
         a, b = self._emb(["a", "b"]), self._emb(["a", "b"], seed=1)
-        aligned, report = align_vocabularies([a, b])
-        assert report.dropped_per_source == [0, 0]
+        aligned, dropped = align_vocabularies([a, b])
+        assert dropped == [0, 0]
         assert aligned[0].n_words == 2
 
     def test_disjoint(self):

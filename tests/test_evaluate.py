@@ -10,7 +10,6 @@ from embedjive.embed_io import EmbeddingMatrix, preprocess
 from embedjive.evaluate import (
     LabeledCorpus,
     evaluate,
-    featurize,
     featurize_corpus,
     read_corpus_tsv,
     train_linear,
@@ -25,6 +24,12 @@ evaluate_module = importlib.import_module("embedjive.evaluate")
 
 def two_word_embedding():
     return EmbeddingMatrix(vocab=["a", "b"], data=[[1.0, 0.0], [0.0, 1.0]], name="toy")
+
+
+def featurize(text, embedding):
+    """One text's features: ``featurize_corpus`` on a one-record corpus."""
+    features, _ = featurize_corpus(LabeledCorpus(labels=np.array([0]), texts=[text]), embedding)
+    return features[0]
 
 
 class TestFeaturize:
@@ -127,16 +132,16 @@ class TestCorpus:
 class TestTrainLinear:
     def test_separable_reaches_full_accuracy(self):
         corpus, embedding = separable_corpus(seed=1)
-        model = train_linear(corpus, embedding)
-        result = evaluate(corpus, embedding, model)
-        assert result.accuracy == 1.0
+        weights = train_linear(corpus, embedding)
+        result = evaluate(corpus, embedding, weights)
+        assert result["accuracy"] == 1.0
 
     def test_l2_sweep_shrinks_weights(self):
         corpus, embedding = separable_corpus(seed=3, gap=2.0)
         norms = []
         for l2 in (0.0, 0.1, 1.0, 10.0):
-            model = train_linear(corpus, embedding, l2=l2)
-            norms.append(float(np.linalg.norm(model.weights[:-1])))
+            weights = train_linear(corpus, embedding, l2=l2)
+            norms.append(float(np.linalg.norm(weights[:-1])))
         assert norms == sorted(norms, reverse=True)
 
     def test_single_class_rejected(self):
@@ -159,16 +164,16 @@ class TestTrainLinear:
         corpus, embedding = separable_corpus(seed=4, gap=1.0)
         a = train_linear(corpus, embedding)
         b = train_linear(corpus, embedding)
-        np.testing.assert_array_equal(a.weights, b.weights)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestEvaluate:
     def test_perfect_classifier(self):
         corpus, embedding = separable_corpus(seed=5)
-        model = train_linear(corpus, embedding)
-        result = evaluate(corpus, embedding, model)
-        assert result.accuracy == 1.0
-        assert result.embedding_name == "separable"
+        weights = train_linear(corpus, embedding)
+        result = evaluate(corpus, embedding, weights)
+        assert result["accuracy"] == 1.0
+        assert result["embedding"] == "separable"
 
     def test_random_weights_balanced_classes(self):
         rng = np.random.default_rng(12)
@@ -176,35 +181,31 @@ class TestEvaluate:
         vocab = [f"w{i:04d}" for i in range(n)]
         embedding = EmbeddingMatrix(vocab=vocab, data=rng.standard_normal((5, n)), name="rand")
         corpus = LabeledCorpus(labels=rng.integers(0, 2, size=n), texts=list(vocab), split="test")
-        from embedjive.evaluate import LinearModel
-
         weights = rng.standard_normal((6, 2))
-        model = LinearModel(weights=weights, class_count=2, config={})
-        result = evaluate(corpus, embedding, model)
-        assert abs(result.accuracy - 0.5) <= 0.05
+        result = evaluate(corpus, embedding, weights)
+        assert abs(result["accuracy"] - 0.5) <= 0.05
 
     def test_recall_against_confusion_matrix(self):
         corpus, embedding = separable_corpus(seed=6, gap=0.5)
-        model = train_linear(corpus, embedding)
-        result = evaluate(corpus, embedding, model)
+        weights = train_linear(corpus, embedding)
+        result = evaluate(corpus, embedding, weights)
         features = np.vstack([featurize(t, embedding) for t in corpus.texts])
-        logits = np.hstack([features, np.ones((len(corpus.texts), 1))]) @ model.weights
+        logits = np.hstack([features, np.ones((len(corpus.texts), 1))]) @ weights
         predicted = logits.argmax(axis=1)
         confusion = np.zeros((2, 2), dtype=int)
         for truth, pred in zip(corpus.labels, predicted):
             confusion[truth, pred] += 1
         for c in range(2):
             expected_recall = confusion[c, c] / confusion[c].sum()
-            assert result.recall[c] == pytest.approx(expected_recall)
+            assert result["recall"][c] == pytest.approx(expected_recall)
             denom = confusion[:, c].sum()
             expected_precision = confusion[c, c] / denom if denom else 0.0
-            assert result.precision[c] == pytest.approx(expected_precision)
+            assert result["precision"][c] == pytest.approx(expected_precision)
 
     def test_json_row(self):
         corpus, embedding = separable_corpus(seed=8)
-        model = train_linear(corpus, embedding)
-        row = evaluate(corpus, embedding, model).to_json_dict()
-        assert set(row) == {"embedding", "accuracy", "precision", "recall", "config"}
+        row = evaluate(corpus, embedding, train_linear(corpus, embedding))
+        assert set(row) == {"embedding", "accuracy", "precision", "recall"}
 
 
 class TestProperties:
@@ -215,14 +216,14 @@ class TestProperties:
         rotated = EmbeddingMatrix(vocab=embedding.vocab, data=q @ embedding.data, name="rotated")
         base = evaluate(corpus, embedding, train_linear(corpus, embedding))
         turned = evaluate(corpus, rotated, train_linear(corpus, rotated))
-        assert abs(base.accuracy - turned.accuracy) <= 0.01
+        assert abs(base["accuracy"] - turned["accuracy"]) <= 0.01
 
     def test_clean_beats_noisy_ordering(self):
         wins = 0
         for seed in range(10):
             train, test, clean, noisy = clean_noisy_pair(seed)
-            acc_clean = evaluate(test, clean, train_linear(train, clean)).accuracy
-            acc_noisy = evaluate(test, noisy, train_linear(train, noisy)).accuracy
+            acc_clean = evaluate(test, clean, train_linear(train, clean))["accuracy"]
+            acc_noisy = evaluate(test, noisy, train_linear(train, noisy))["accuracy"]
             wins += acc_clean >= acc_noisy
         assert wins >= 9
 
@@ -231,10 +232,10 @@ class TestProperties:
         shrunk = EmbeddingMatrix(vocab=clean.vocab, data=1e-3 * clean.data, name="clean")
         results, predictions = [], []
         for embedding in (clean, shrunk):
-            model = train_linear(train, embedding)
-            results.append(evaluate(test, embedding, model).to_json_dict())
+            weights = train_linear(train, embedding)
+            results.append(evaluate(test, embedding, weights))
             features = np.vstack([featurize(t, embedding) for t in test.texts])
-            logits = np.hstack([features, np.ones((len(test.texts), 1))]) @ model.weights
+            logits = np.hstack([features, np.ones((len(test.texts), 1))]) @ weights
             predictions.append(logits.argmax(axis=1))
         assert results[0] == results[1]
         np.testing.assert_array_equal(predictions[0], predictions[1])
@@ -263,6 +264,6 @@ class TestProperties:
         joint = compose(result, parse_composition("joint", 2), vocab)
 
         def accuracy(embedding):
-            return evaluate(test, embedding, train_linear(train, embedding)).accuracy
+            return evaluate(test, embedding, train_linear(train, embedding))["accuracy"]
 
         assert accuracy(joint) > accuracy(weak_raw)

@@ -1,5 +1,6 @@
 """The scripts under ``scripts/`` and the README's quick start run end to end
-and print what they document.
+and print what they document, and the package's star import binds every name
+it exports.
 
 Each runs as its own process, the way a user starts it, so a helper that a
 script imports and the package no longer has fails here.  So does the CLI's
@@ -103,3 +104,11 @@ def test_readme_quick_start(tmp_path):
     assert [line.split("\t")[0] for line in lines[2:]] == ["glove.50d", "w2v"]
     names = ["joint", "ind0", "ind1", "joint+ind0", "joint+ind1", "ind0+ind1", "joint+ind0+ind1"]
     assert all((tmp_path / f"{name}.txt").is_file() for name in names)
+
+
+def test_star_import_binds_every_export():
+    """A name left in ``__all__`` after its definition is gone fails here."""
+    code = ("from embedjive import *\nimport embedjive\nassert embedjive.__all__\n"
+            "missing = [n for n in embedjive.__all__ if n not in globals()]\nassert not missing, missing")
+    proc = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
