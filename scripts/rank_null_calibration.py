@@ -22,8 +22,8 @@ from embedjive.synthetic import make_planted
 
 
 def tally(label, decisions):
-    counts = collections.Counter(d.joint_rank for d in decisions)
-    taus = [d.tau for d in decisions]
+    counts = collections.Counter(d["joint_rank"] for d in decisions)
+    taus = [d["tau"] for d in decisions]
     pretty = ", ".join(f"r={r}: {c}" for r, c in sorted(counts.items()))
     print(f"{label:<22} {pretty}   (tau mean {np.mean(taus):.3f})")
 
@@ -56,10 +56,10 @@ def main():
         blocks = [rng.standard_normal((20, args.n)), rng.standard_normal((20, args.n))]
         independent.append(select_joint_rank(blocks, (5, 5), resamples=args.resamples, seed=4000 + run))
     tally("independent blocks", independent)
-    false_pos = sum(d.spectrum[0] > d.tau_null for d in independent)
+    false_pos = sum(d["spectrum"][0] > d["tau_null"] for d in independent)
     low, high = wilson_interval(false_pos, args.runs)
     print(f"{'':<22} false positives {false_pos}/{args.runs} = {false_pos / args.runs:.1%} "
-          f"(95% CI {low:.1%}-{high:.1%}; nominal {1 - independent[0].quantile:.1%})")
+          f"(95% CI {low:.1%}-{high:.1%}; nominal {1 - independent[0]['quantile']:.1%})")
 
     planted = []
     for run in range(args.runs):

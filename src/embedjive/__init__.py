@@ -26,7 +26,6 @@ from embedjive.jive import (
 )
 from embedjive.linalg import NumericError, TruncatedSVD, truncated_svd
 from embedjive.rank_select import (
-    RankDecision,
     estimate_signal_rank,
     select_individual_ranks,
     select_joint_rank,
@@ -45,7 +44,6 @@ __all__ = [
     "JiveResult",
     "LabeledCorpus",
     "NumericError",
-    "RankDecision",
     "TruncatedSVD",
     "align_vocabularies",
     "compose",

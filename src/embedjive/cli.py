@@ -14,7 +14,6 @@ import hashlib
 import json
 import platform
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -26,9 +25,8 @@ from embedjive.compose import parse_composition, selected_parts, standard_compos
 from embedjive.embed_io import EmbeddingMatrix, align_vocabularies, parse_embedding, preprocess, write_embedding
 from embedjive.evaluate import evaluate, read_corpus_tsv, train_linear
 from embedjive.jive import BlockStack, JiveConfig, jive_fit, report_tsv, variance_explained
-from embedjive.linalg import NumericError, singular_values
+from embedjive.linalg import NumericError
 from embedjive.rank_select import (
-    RankDecision,
     check_settings,
     estimate_signal_rank,
     numerical_rank,
@@ -124,6 +122,17 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[dict
     (out_dir / MANIFEST_FILE).write_text(_json_text(manifest), encoding="utf-8")
 
 
+def _out_dir(args) -> Path:
+    """``--out-dir`` of ``ranks``, ``compose`` or ``eval``, checked before
+    anything is written: none of them may write into a model directory (one
+    holding ``model.json``), whose files ``compose`` and ``report`` read."""
+    out_dir = Path(args.out_dir)
+    if (out_dir / MODEL_FILE).exists():
+        raise ValueError(f"--out-dir {out_dir} is a model directory (it holds {MODEL_FILE});"
+                         f" {args.command} would overwrite its files")
+    return out_dir
+
+
 def _entries(text: str, what: str) -> list[str]:
     parts = [t.strip() for t in text.split(",")]
     if "" in parts:
@@ -154,35 +163,33 @@ def _input_stack(args):
     return BlockStack([preprocess(m) for m in aligned]), input_records, n_dropped
 
 
-def _resolve_ranks(args, stack: BlockStack) -> tuple[int, list[int], RankDecision | None]:
+def _resolve_ranks(args, stack: BlockStack) -> tuple[int, list[int], dict | None]:
     """Pinned ranks as given; an auto individual rank is the block's signal
-    rank minus the joint rank, from the rank decision when there is one.
-    Either way the joint plus a block's individual rank may not exceed the
-    block's numerical rank."""
+    rank minus the joint rank.  Either way the joint plus a block's
+    individual rank may not exceed the block's numerical rank."""
+    signal_ranks = _signal_ranks(stack, args.energy) if "auto" in (args.joint_rank, args.individual_ranks) else None
     decision = None
     if args.joint_rank == "auto":
         decision = select_joint_rank(
             stack,
-            _signal_ranks(stack, args.energy),
+            signal_ranks,
             resamples=args.resamples,
             quantile=args.quantile,
             seed=args.seed,
         )
-        joint_rank = decision.joint_rank
+        joint_rank = decision["joint_rank"]
     else:
         try:
             joint_rank = int(args.joint_rank)
         except ValueError:
             raise ValueError(f"--joint-rank must be an integer or 'auto', got {args.joint_rank!r}") from None
-    if args.individual_ranks != "auto":
-        individual_ranks = _rank_list(args.individual_ranks, len(stack), "--individual-ranks")
-    elif decision is not None:
-        individual_ranks = decision.individual_ranks
+    if args.individual_ranks == "auto":
+        individual_ranks = select_individual_ranks(signal_ranks, joint_rank)
     else:
-        individual_ranks = select_individual_ranks(_signal_ranks(stack, args.energy), joint_rank)
-    for i, r_i in enumerate(individual_ranks):
+        individual_ranks = _rank_list(args.individual_ranks, len(stack), "--individual-ranks")
+    for i, (r_i, svd) in enumerate(zip(individual_ranks, stack.svds)):
         # Past a block's numerical rank the fit would write arbitrary directions as factors.
-        rank = numerical_rank(singular_values(stack.block(i)), stack.shapes[i])
+        rank = numerical_rank(svd.S, stack.shapes[i])
         if joint_rank + r_i > rank:
             raise ValueError(f"joint rank {joint_rank} plus individual rank {r_i} exceeds the numerical rank"
                              f" {rank} of block {i} ({stack.names[i]})")
@@ -190,7 +197,7 @@ def _resolve_ranks(args, stack: BlockStack) -> tuple[int, list[int], RankDecisio
 
 
 def _signal_ranks(stack: BlockStack, energy: float) -> list[int]:
-    return [estimate_signal_rank(stack.block(i), energy=energy) for i in range(len(stack))]
+    return [estimate_signal_rank(svd.S, energy=energy) for svd in stack.svds]
 
 
 def _invariant_violations(record: dict) -> list[str]:
@@ -275,8 +282,8 @@ def _write_model(out_dir: Path, args, inputs: list[dict], stack: BlockStack, res
         "epsilon": config.epsilon,
         "max_iter": config.max_iter,
         "seed": args.seed,
-        "tau": None if decision is None else decision.tau,
-        "rank_decision": None if decision is None else asdict(decision),
+        "tau": None if decision is None else decision["tau"],
+        "rank_decision": decision,
         "converged": result.converged,
         "stop_reason": result.stop_reason,
         "iterations": result.iterations,
@@ -317,6 +324,7 @@ def _json_text(value) -> str:
 
 
 def cmd_ranks(args) -> int:
+    out_dir = None if args.out_dir is None else _out_dir(args)
     stack, input_records, _ = _input_stack(args)
     if args.signal_ranks == "auto":
         signal_ranks = _signal_ranks(stack, args.energy)
@@ -329,10 +337,9 @@ def cmd_ranks(args) -> int:
         quantile=args.quantile,
         seed=args.seed,
     )
-    text = _json_text(asdict(decision) | {"block_names": stack.names})
+    text = _json_text(decision | {"block_names": stack.names})
     print(text, end="")
-    if args.out_dir is not None:
-        out_dir = Path(args.out_dir)
+    if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "ranks.json").write_text(text, encoding="utf-8")
         config_echo = {
@@ -425,9 +432,7 @@ def _read_model(model_dir: Path) -> _Model:
 
 
 def cmd_compose(args) -> int:
-    model_dir, out_dir = Path(args.model), Path(args.out_dir)
-    if out_dir.resolve() == model_dir.resolve():
-        raise ValueError(f"--out-dir {out_dir} is the model directory; compose would overwrite the model's files")
+    model_dir, out_dir = Path(args.model), _out_dir(args)
     model = _read_model(model_dir)
     n_blocks = len(model.ranks) - 1
     if args.compositions.strip() == "all":
@@ -462,6 +467,7 @@ def cmd_compose(args) -> int:
 def cmd_eval(args) -> int:
     if not args.input:
         raise ValueError("eval needs at least 1 --input embedding")
+    out_dir = _out_dir(args)
     matrices, input_records = _load_inputs(args.input)
     train_corpus = read_corpus_tsv(args.train, split="train")
     test_corpus = read_corpus_tsv(args.test, split="test")
@@ -471,7 +477,6 @@ def cmd_eval(args) -> int:
         row = evaluate(test_corpus, matrix, weights) | {"config": {"l2": args.l2}}
         rows.append(json.dumps(row, sort_keys=True))
         print(rows[-1])
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "results.jsonl").open("a", encoding="utf-8") as fh:
         for row in rows:

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -170,18 +171,28 @@ class BlockStack:
 
     The stack holds one reduced QR of the stacked transpose, ``X' = Q R``:
     ``stacked`` is ``C = R'`` (P x min(P, n)), ``block(i)`` its rows for
-    block i, and ``lift`` maps rows back to the n words through ``Q'``.
+    block i, ``svds[i]`` that block's one full SVD, and ``lift`` maps rows
+    back to the n words through ``Q'``.
     ``vocab`` is the blocks' shared vocabulary when every block is an
     :class:`EmbeddingMatrix`, else ``None``.
     """
 
     def __init__(self, blocks):
         items = list(blocks)
-        pairs = [self.checked_block(block, i) for i, block in enumerate(items)]
-        if len(pairs) < 2:
+        arrays, self.names = [], []
+        for i, block in enumerate(items):
+            if isinstance(block, EmbeddingMatrix):
+                arr, name = block.data, block.name
+            else:
+                arr, name = np.asarray(block, dtype=float), f"block{i}"
+            if arr.ndim != 2:
+                raise ValueError(f"block {i} must be a 2-D matrix, got shape {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise NumericError(f"block {i} contains non-finite entries")
+            arrays.append(arr)
+            self.names.append(name)
+        if len(arrays) < 2:
             raise ValueError("need at least 2 blocks")
-        arrays = [arr for arr, _ in pairs]
-        self.names = [name for _, name in pairs]
         self.n = arrays[0].shape[1]
         for i, arr in enumerate(arrays):
             if arr.shape[1] != self.n:
@@ -202,19 +213,6 @@ class BlockStack:
         """``blocks`` itself if it is already a stack, else a new stack of them."""
         return blocks if isinstance(blocks, cls) else cls(blocks)
 
-    @staticmethod
-    def checked_block(block, i: int = 0) -> tuple[np.ndarray, str]:
-        """An :class:`EmbeddingMatrix` or a plain 2-D array as a finite float array plus a name."""
-        if isinstance(block, EmbeddingMatrix):
-            arr, name = block.data, block.name
-        else:
-            arr, name = np.asarray(block, dtype=float), f"block{i}"
-        if arr.ndim != 2:
-            raise ValueError(f"block {i} must be a 2-D matrix, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise NumericError(f"block {i} contains non-finite entries")
-        return arr, name
-
     def __len__(self) -> int:
         return len(self.dims)
 
@@ -226,6 +224,12 @@ class BlockStack:
     def block(self, i: int) -> np.ndarray:
         """Block ``i`` in compressed coordinates: ``p_i x min(P, n)``."""
         return self.stacked[self.slices[i]]
+
+    @cached_property
+    def svds(self) -> list[TruncatedSVD]:
+        """Each compressed block's full SVD, taken on first use: every rank
+        rule reads these, and :func:`jive_fit` never does."""
+        return [truncated_svd(b, min(b.shape)) for b in map(self.block, range(len(self)))]
 
     def lift(self, rows: np.ndarray) -> np.ndarray:
         """Rows given in compressed coordinates, as rows over the n words."""

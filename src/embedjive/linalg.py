@@ -64,11 +64,6 @@ def truncated_svd(matrix, k: int) -> TruncatedSVD:
     return TruncatedSVD(U=u * signs, S=s, Vt=vt * signs[:, None])
 
 
-def singular_values(matrix) -> np.ndarray:
-    """All ``min(p, n)`` singular values, descending, from LAPACK."""
-    return np.linalg.svd(_checked_matrix(matrix), compute_uv=False)
-
-
 def principal_angle_sines(vt_a, vt_b) -> np.ndarray:
     """Sines of the principal angles between two row spaces, ascending angle.
 

@@ -33,29 +33,10 @@ the count of spectrum values above ``tau_null``, can be read off any decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from embedjive.jive import BlockStack
-from embedjive.linalg import TruncatedSVD, singular_values, truncated_svd
-
-
-@dataclass
-class RankDecision:
-    """Selected joint rank plus the evidence it was read from."""
-
-    joint_rank: int
-    signal_ranks: list[int]
-    tau: float
-    tau_null: float
-    tau_wedin: float
-    wedin_sin2: list[float]
-    spectrum: list[float]
-    resamples: int
-    quantile: float
-    seed: int
-    individual_ranks: list[int]
+from embedjive.linalg import TruncatedSVD
 
 
 def check_settings(energy: float = 0.95, resamples: int = 100, quantile: float = 0.95) -> None:
@@ -70,18 +51,21 @@ def check_settings(energy: float = 0.95, resamples: int = 100, quantile: float =
         raise ValueError(f"quantile must be in (0, 1), got {quantile}")
 
 
-def estimate_signal_rank(block, energy: float = 0.95) -> int:
-    """Per-block signal rank: the smallest rank whose leading singular values
-    capture at least ``energy`` of the block's squared Frobenius norm."""
-    arr, _ = BlockStack.checked_block(block)
+def estimate_signal_rank(s, energy: float = 0.95) -> int:
+    """Per-block signal rank read off the block's singular values ``s``
+    (descending): the smallest rank whose leading values capture at least
+    ``energy`` of the block's squared Frobenius norm."""
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 1 or not np.isfinite(s).all() or (s < 0).any():
+        raise ValueError(f"expected a 1-D spectrum of finite non-negative singular values, got shape {s.shape}")
     check_settings(energy=energy)
-    sq = singular_values(arr) ** 2
+    sq = s**2
     total = float(sq.sum())
     if total == 0.0:
         raise ValueError("zero block has no signal rank")
     cumulative = np.cumsum(sq) / total
     t = int(np.searchsorted(cumulative, energy - 1e-12)) + 1
-    return min(t, min(arr.shape))
+    return min(t, s.size)
 
 
 def numerical_rank(s: np.ndarray, shape: tuple[int, int]) -> int:
@@ -97,33 +81,36 @@ def select_joint_rank(
     resamples: int = 100,
     quantile: float = 0.95,
     seed: int = 0,
-) -> RankDecision:
+) -> dict:
     """Choose the joint rank from the stacked-basis squared singular values,
     thresholded at the larger of the Monte Carlo null quantile and the
     Wedin-type floor.  Deterministic given ``seed``: the random stream is
     partitioned per draw, so results do not depend on evaluation order.
 
     ``blocks`` is a :class:`BlockStack`, or a list that is compressed first.
-    The spectrum is read off the compressed blocks; the samplers and the
+    The spectrum is read off the stack's block SVDs; the samplers and the
     ``sum(signal ranks) <= n`` check use the vocabulary size n.  A signal
-    rank above a block's numerical rank raises ValueError.  The decision's
-    individual ranks follow :func:`select_individual_ranks`.
+    rank above a block's numerical rank raises ValueError.
+
+    The decision is the dict that ``ranks.json`` holds: ``joint_rank``,
+    ``signal_ranks``, ``tau``, ``tau_null``, ``tau_wedin``, ``wedin_sin2``
+    (per block), ``spectrum``, ``resamples``, ``quantile``, ``seed`` and the
+    ``individual_ranks`` of :func:`select_individual_ranks`.
     """
     stack = BlockStack.of(blocks)
-    arrays, n = [stack.block(i) for i in range(len(stack))], stack.n
-    k_blocks = len(arrays)
+    k_blocks, n = len(stack), stack.n
     t = [int(v) for v in signal_ranks]
     if len(t) != k_blocks:
         raise ValueError(f"{len(t)} signal ranks for {k_blocks} blocks")
-    for i, (t_i, arr) in enumerate(zip(t, arrays)):
-        if not 1 <= t_i <= min(arr.shape):
+    for i, t_i in enumerate(t):
+        if not 1 <= t_i <= min(stack.block(i).shape):
             raise ValueError(f"signal rank {t_i} out of range for block {i}")
     if sum(t) > n:
         raise ValueError(f"stacked bases need sum(signal ranks) <= {n}, got {sum(t)}")
     check_settings(resamples=resamples, quantile=quantile)
 
     # Full SVDs: the signal rows come first, the residual spectrum after them.
-    svds = [truncated_svd(arr, min(arr.shape)) for arr in arrays]
+    svds = stack.svds
     for i, (svd, t_i, shape) in enumerate(zip(svds, t, stack.shapes)):
         rank = numerical_rank(svd.S, shape)
         if t_i > rank:
@@ -147,19 +134,19 @@ def select_joint_rank(
     tau = min(max(tau_null, tau_wedin), k_blocks * (1.0 - 1e-12))
 
     joint_rank = min(int((spectrum > tau).sum()), min(t))
-    return RankDecision(
-        joint_rank=joint_rank,
-        signal_ranks=t,
-        tau=float(tau),
-        tau_null=tau_null,
-        tau_wedin=tau_wedin,
-        wedin_sin2=wedin_sin2,
-        spectrum=[float(v) for v in spectrum],
-        resamples=resamples,
-        quantile=quantile,
-        seed=seed,
-        individual_ranks=select_individual_ranks(t, joint_rank),
-    )
+    return {
+        "joint_rank": joint_rank,
+        "signal_ranks": t,
+        "tau": float(tau),
+        "tau_null": tau_null,
+        "tau_wedin": tau_wedin,
+        "wedin_sin2": wedin_sin2,
+        "spectrum": [float(v) for v in spectrum],
+        "resamples": resamples,
+        "quantile": quantile,
+        "seed": seed,
+        "individual_ranks": select_individual_ranks(t, joint_rank),
+    }
 
 
 def select_individual_ranks(signal_ranks, joint_rank: int) -> list[int]:

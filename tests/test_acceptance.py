@@ -138,7 +138,7 @@ def test_criterion_4_rank_selection_nulls_and_signals():
             rng = np.random.default_rng(5000 + run)
             block = rng.standard_normal((12, 300))
             decision = select_joint_rank([block, block.copy()], (5, 5), resamples=100, quantile=0.95, seed=6000 + run)
-            identical_hits += decision.joint_rank == 5
+            identical_hits += decision["joint_rank"] == 5
         assert identical_hits == 100
         # The Monte Carlo null alone, read off the recorded threshold, and the
         # shipped rule, whose Wedin floor can only raise the threshold.
@@ -147,8 +147,8 @@ def test_criterion_4_rank_selection_nulls_and_signals():
             rng = np.random.default_rng(7_002_000 + run)
             blocks = [rng.standard_normal((20, 2000)), rng.standard_normal((20, 2000))]
             decision = select_joint_rank(blocks, (5, 5), resamples=100, quantile=0.95, seed=7_007_000 + run)
-            null_hits += decision.spectrum[0] <= decision.tau_null
-            rule_hits += decision.joint_rank == 0
+            null_hits += decision["spectrum"][0] <= decision["tau_null"]
+            rule_hits += decision["joint_rank"] == 0
         assert null_hits >= 95, f"null alone: r=0 in {null_hits}/100 independent runs"
         assert rule_hits >= 95, f"r=0 in {rule_hits}/100 independent runs"
         assert time.perf_counter() - start < 60.0

@@ -419,6 +419,51 @@ class TestRanks:
         assert (out / "manifest.json").exists()
 
 
+class TestOneRankPath:
+    """The rank rules read one SVD per compressed block, and ``ranks`` and
+    ``decompose`` write the same decision."""
+
+    def test_one_svd_per_block(self, input_files, tmp_path, capsys, monkeypatch):
+        # 6 + 8 block dims over 40 words: the compressed blocks are 6 x 14 and 8 x 14.
+        block_shapes = {(6, 14), (8, 14)}
+        shapes = []
+        plain_svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return plain_svd(a, *args, **kwargs)
+
+        class FitReached(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise FitReached
+
+        # The fit's own sweep-0 SVDs take block-shaped leftovers; the rank step ends where it begins.
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        monkeypatch.setattr(embedjive.cli, "jive_fit", stop)
+        inputs = ["--input", input_files[0], "--input", input_files[1], "--seed", "2"]
+        assert main(["ranks", *inputs]) == 0
+        assert sorted(s for s in shapes if s in block_shapes) == [(6, 14), (8, 14)]
+        shapes.clear()
+        with pytest.raises(FitReached):
+            main(["decompose", *inputs, "--out-dir", str(tmp_path / "model")])
+        assert sorted(s for s in shapes if s in block_shapes) == [(6, 14), (8, 14)]
+        capsys.readouterr()
+
+    def test_ranks_json_is_the_model_rank_decision(self, input_files, tmp_path, capsys):
+        flags = ["--input", input_files[0], "--input", input_files[1], "--seed", "5",
+                 "--energy", "0.9", "--resamples", "30", "--quantile", "0.9"]
+        assert main(["ranks", *flags, "--out-dir", str(tmp_path / "ranks")]) == 0
+        assert main(["decompose", *flags, "--out-dir", str(tmp_path / "model")]) == 0
+        capsys.readouterr()
+        ranks = json.loads((tmp_path / "ranks" / "ranks.json").read_text())
+        assert ranks.pop("block_names") == ["in0", "in1"]
+        model = json.loads((tmp_path / "model" / "model.json").read_text())
+        assert ranks == model["rank_decision"]
+        assert (ranks["resamples"], ranks["quantile"], ranks["seed"]) == (30, 0.9, 5)
+
+
 class TestCompose:
     @pytest.fixture()
     def model_dir(self, input_files, tmp_path, capsys):
@@ -503,13 +548,33 @@ class TestCompose:
             assert named in capsys.readouterr().err
             assert not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize("suffix", ["", "/."])
-    def test_out_dir_may_not_be_the_model(self, model_dir, capsys, suffix):
+    # Only decompose writes into a directory holding a model.json.  Each case is
+    # a command line that succeeds into a fresh --out-dir, and the spelling of
+    # the model directory given as its --out-dir instead.
+    @pytest.mark.parametrize(
+        "argv, suffix",
+        [
+            (lambda d: ["compose", "--model", d.model, "--compositions", "joint", "--format", "word2vec-text"], ""),
+            (lambda d: ["compose", "--model", d.model, "--compositions", "joint", "--format", "word2vec-text"], "/."),
+            (lambda d: ["ranks", "--input", d.inputs[0], "--input", d.inputs[1], "--seed", "2"], ""),
+            (lambda d: ["eval", "--input", d.embedding, "--train", d.corpus, "--test", d.corpus], ""),
+            (lambda d: ["compose", "--model", d.other, "--compositions", "joint"], ""),
+        ],
+        ids=["", "/.", "ranks", "eval", "compose-into-another-model"],
+    )
+    def test_out_dir_may_not_be_the_model(self, model_dir, input_files, tmp_path, capsys, argv, suffix):
+        other = tmp_path / "other"
+        assert run_decompose(input_files, other, ["--joint-rank", "1", "--individual-ranks", "1,2"]) == 0
+        corpus, embedding = separable_corpus(seed=23)
+        write_embedding(embedding, tmp_path / "emb.txt")
+        write_corpus_tsv(corpus, tmp_path / "corpus.tsv")
+        argv = argv(SimpleNamespace(model=str(model_dir), other=str(other), inputs=input_files,
+                                    embedding=str(tmp_path / "emb.txt"), corpus=str(tmp_path / "corpus.tsv")))
+        assert main([*argv, "--out-dir", str(tmp_path / "fresh")]) == 0
+        capsys.readouterr()
         before = {path.name: path.read_bytes() for path in model_dir.iterdir()}
-        argv = ["compose", "--model", str(model_dir), "--compositions", "joint", "--format", "word2vec-text",
-                "--out-dir", str(model_dir) + suffix]
-        assert main(argv) == 2
-        assert "model directory" in capsys.readouterr().err
+        assert main([*argv, "--out-dir", str(model_dir) + suffix]) == 2
+        assert "is a model directory (it holds model.json)" in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in model_dir.iterdir()} == before
 
     def test_repeated_composition_rejected(self, model_dir, tmp_path, capsys):

@@ -322,6 +322,17 @@ class TestCompressedFit:
         assert result.iterations >= 1 and shapes
         assert all(shape[1] != n for shape in shapes)
 
+    def test_block_svds_taken_once_on_first_use(self, rng):
+        stack = BlockStack([rng.standard_normal((5, 40)), rng.standard_normal((7, 40))])
+        # A fit with given ranks never reads them, so it does not pay for them.
+        jive_fit(stack, JiveConfig(joint_rank=2, individual_ranks=(1, 2)))
+        assert "svds" not in vars(stack)
+        svds = stack.svds
+        assert stack.svds is svds
+        for i, svd in enumerate(svds):
+            assert svd.S.size == min(stack.block(i).shape)
+            assert np.abs(svd.compose() - stack.block(i)).max() <= 1e-12
+
     def test_prebuilt_stack_gives_the_same_fit(self, rng):
         blocks = [rng.standard_normal((5, 40)), rng.standard_normal((7, 40))]
         config = JiveConfig(joint_rank=2, individual_ranks=(1, 2), epsilon=1e-8)

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from embedjive.jive import BlockStack
-from embedjive.linalg import singular_values, truncated_svd
+from embedjive.linalg import truncated_svd
 from embedjive.rank_select import (
     _null_spectrum_max,
     _wedin_sin_bound,
@@ -21,21 +21,28 @@ class TestEstimateSignalRank:
         left = np.linalg.qr(rng.standard_normal((6, 3)))[0]
         right = np.linalg.qr(rng.standard_normal((50, 3)))[0].T
         m = (left * [3.0, 2.0, 1.0]) @ right
-        assert estimate_signal_rank(m, energy=0.99) == 3
+        assert estimate_signal_rank(truncated_svd(m, 6).S, energy=0.99) == 3
 
     def test_flat_spectrum(self):
-        assert estimate_signal_rank(np.eye(4), energy=0.5) == 2
+        assert estimate_signal_rank(np.ones(4), energy=0.5) == 2
 
     def test_against_cumulative_scan_oracle(self, rng):
         m = rng.standard_normal((10, 200))
         sv = np.linalg.svd(m, compute_uv=False)
         energies = np.cumsum(sv**2) / np.sum(sv**2)
         oracle = int(np.argmax(energies >= 0.95)) + 1
-        assert estimate_signal_rank(m, energy=0.95) == oracle
+        assert estimate_signal_rank(sv, energy=0.95) == oracle
 
     def test_bad_energy(self, rng):
         with pytest.raises(ValueError, match="energy"):
-            estimate_signal_rank(rng.standard_normal((5, 9)), energy=0.0)
+            estimate_signal_rank(np.linalg.svd(rng.standard_normal((5, 9)), compute_uv=False), energy=0.0)
+
+    @pytest.mark.parametrize("s", [np.eye(4), np.array([1.0, np.nan]), np.array([1.0, -0.5]), 3.0],
+                             ids=["matrix", "nan", "negative", "scalar"])
+    def test_reads_a_spectrum_only(self, s):
+        # A block passed where its spectrum belongs would read its rows as values.
+        with pytest.raises(ValueError, match="1-D spectrum"):
+            estimate_signal_rank(s)
 
 
 def _shared_subspace_blocks(rng, n=300, t=3):
@@ -49,9 +56,9 @@ class TestSelectJointRank:
     def test_identical_row_spaces(self, rng):
         b1, b2 = _shared_subspace_blocks(rng)
         decision = select_joint_rank([b1, b2], (3, 3), seed=0)
-        top = np.array(decision.spectrum[:3])
+        top = np.array(decision["spectrum"][:3])
         assert np.abs(top - 2.0).max() <= 1e-8
-        assert decision.joint_rank == 3
+        assert decision["joint_rank"] == 3
 
     def test_independent_subspaces_null(self, rng):
         n = 1000
@@ -59,24 +66,24 @@ class TestSelectJointRank:
         b1 = rng.standard_normal((5, 5)) @ q[:, :5].T
         b2 = rng.standard_normal((5, 5)) @ q[:, 5:].T
         decision = select_joint_rank([b1, b2], (5, 5), seed=1)
-        assert max(decision.spectrum) < 1.5
-        assert decision.joint_rank == 0
+        assert max(decision["spectrum"]) < 1.5
+        assert decision["joint_rank"] == 0
 
     def test_duplicated_noisy_block(self, rng):
         x = rng.standard_normal((12, 400))
         decision = select_joint_rank([x, x.copy()], (5, 5), seed=3)
-        assert decision.joint_rank == 5
+        assert decision["joint_rank"] == 5
 
     def test_spectrum_bounds(self, rng):
         blocks = [rng.standard_normal((6, 120)), rng.standard_normal((9, 120)), rng.standard_normal((7, 120))]
         decision = select_joint_rank(blocks, (3, 4, 2), seed=5)
-        spectrum = np.array(decision.spectrum)
+        spectrum = np.array(decision["spectrum"])
         assert (spectrum >= -1e-8).all() and (spectrum <= 3.0 + 1e-8).all()
 
     def test_monotone_in_tau(self, rng):
         b1, b2 = _shared_subspace_blocks(rng)
         decision = select_joint_rank([b1 + 0.05 * rng.standard_normal(b1.shape), b2], (3, 3), seed=7)
-        spectrum = np.array(decision.spectrum)
+        spectrum = np.array(decision["spectrum"])
         counts = [int((spectrum > tau).sum()) for tau in (0.5, 1.0, 1.5, 1.9, 2.0)]
         assert counts == sorted(counts, reverse=True)
 
@@ -91,7 +98,7 @@ class TestSelectJointRank:
         model = make_planted((15, 18), 400, 2, (2, 2), joint_scales=(2.0, 1.8),
                              individual_scales=((1.0, 0.9), (1.0, 0.9)), noise_sigma=0.01, seed=21)
         decision = select_joint_rank(model.blocks, (4, 4), seed=2)
-        assert decision.joint_rank == 2
+        assert decision["joint_rank"] == 2
 
     def test_argument_errors(self, rng):
         x = rng.standard_normal((6, 10))
@@ -111,7 +118,7 @@ class TestSelectJointRank:
         blocks = [b1 + 0.05 * rng.standard_normal(b1.shape), b2]
         with pytest.raises(ValueError, match=r"signal rank 4 exceeds the numerical rank 3 of block 1 \(block1\)"):
             select_joint_rank(blocks, (5, 4), seed=7)
-        assert select_joint_rank(blocks, (5, 3), seed=7).joint_rank == 3
+        assert select_joint_rank(blocks, (5, 3), seed=7)["joint_rank"] == 3
 
 
 def _reference_null_max(n, ranks, draws, rng):
@@ -127,7 +134,7 @@ def _reference_wedin_draws(arr, svd, t_i, draws, rng):
     """The explicit sampler: Haar frames of full height p and n.  ``svd``
     holds at least ``t_i`` singular triples; the first ``t_i`` are the signal."""
     p, n = arr.shape
-    residual_sv = singular_values(arr)[t_i:]
+    residual_sv = np.linalg.svd(arr, compute_uv=False)[t_i:]
     out = np.empty(draws)
     for d in range(draws):
         u_rand = np.linalg.qr(rng.standard_normal((p, residual_sv.size)))[0]
@@ -189,13 +196,13 @@ class TestSamplersMatchExplicitDraws:
     def test_signal_ranks_fill_the_vocabulary(self, rng):
         blocks = [rng.standard_normal((6, 10)), rng.standard_normal((7, 10))]
         decision = select_joint_rank(blocks, (5, 5), resamples=20, seed=0)
-        assert np.isfinite(decision.tau)
-        assert np.isfinite(decision.spectrum).all()
+        assert np.isfinite(decision["tau"])
+        assert np.isfinite(decision["spectrum"]).all()
 
 
 def _reference_left_only(arr, svd, t_i, resamples, quantile, seq):
     """The Wedin bound without its right (n-side) term, on the same draws."""
-    residual_sv = singular_values(arr)[t_i:]
+    residual_sv = np.linalg.svd(arr, compute_uv=False)[t_i:]
     bounds = np.empty(resamples)
     for d, child in enumerate(seq.spawn(resamples)):
         rng = np.random.default_rng(child)
@@ -249,16 +256,17 @@ class TestCompressedStack:
         blocks[1][:1] += 2.0 * blocks[0][:1]
         spectrum, tau, joint_rank, wedin_sin2 = _word_wide_decision(blocks, ranks, 7_007_000)
         compressed = select_joint_rank(BlockStack(blocks), ranks, seed=7_007_000)
-        assert np.abs(np.array(compressed.spectrum) - spectrum).max() <= 1e-12
-        assert abs(compressed.tau - tau) <= 1e-12
-        assert compressed.joint_rank == joint_rank
-        assert np.abs(np.array(compressed.wedin_sin2) - wedin_sin2).max() <= 1e-12
+        assert np.abs(np.array(compressed["spectrum"]) - spectrum).max() <= 1e-12
+        assert abs(compressed["tau"] - tau) <= 1e-12
+        assert compressed["joint_rank"] == joint_rank
+        assert np.abs(np.array(compressed["wedin_sin2"]) - wedin_sin2).max() <= 1e-12
 
     def test_signal_ranks_match(self, rng):
         blocks = [rng.standard_normal((10, 200)) * np.linspace(3, 0.1, 10)[:, None], rng.standard_normal((12, 200))]
         stack = BlockStack(blocks)
-        for i, block in enumerate(blocks):
-            assert estimate_signal_rank(stack.block(i), energy=0.9) == estimate_signal_rank(block, energy=0.9)
+        for svd, block in zip(stack.svds, blocks):
+            sv = np.linalg.svd(block, compute_uv=False)
+            assert estimate_signal_rank(svd.S, energy=0.9) == estimate_signal_rank(sv, energy=0.9)
 
 
 class TestSelectIndividualRanks:
@@ -279,14 +287,16 @@ class TestSelectIndividualRanks:
         own = rng.standard_normal((1, b2.shape[1])) / np.sqrt(b2.shape[1])
         b2 = b2 + 1.5 * rng.standard_normal((b2.shape[0], 1)) @ own
         decision = select_joint_rank([b1 + 0.05 * rng.standard_normal(b1.shape), b2], (5, 4), seed=7)
-        assert (decision.joint_rank, decision.individual_ranks) == (3, [2, 1])
-        assert dataclasses.asdict(decision)["individual_ranks"] == [2, 1]
+        assert (decision["joint_rank"], decision["individual_ranks"]) == (3, [2, 1])
+        assert set(decision) == {"joint_rank", "signal_ranks", "tau", "tau_null", "tau_wedin", "wedin_sin2",
+                                 "spectrum", "resamples", "quantile", "seed", "individual_ranks"}
 
     def test_planted_ranks_recovered(self):
         # Individual scales sized so the sigma=0.01 noise tail stays below the
         # 5% energy allowance of the default signal-rank policy.
         model = make_planted((20, 30), 150, 3, (2, 2), joint_scales=(4.0, 3.6, 3.2),
                              individual_scales=((3.0, 2.4), (3.0, 2.4)), noise_sigma=0.01, seed=17)
-        signal_ranks = [estimate_signal_rank(b, energy=0.95) for b in model.blocks]
-        decision = select_joint_rank(model.blocks, signal_ranks, seed=2)
-        assert (decision.joint_rank, decision.individual_ranks) == (3, [2, 2])
+        stack = BlockStack(model.blocks)
+        signal_ranks = [estimate_signal_rank(svd.S, energy=0.95) for svd in stack.svds]
+        decision = select_joint_rank(stack, signal_ranks, seed=2)
+        assert (decision["joint_rank"], decision["individual_ranks"]) == (3, [2, 2])
