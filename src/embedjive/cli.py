@@ -123,13 +123,23 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[dict
 
 
 def _out_dir(args) -> Path:
-    """``--out-dir`` of ``ranks``, ``compose`` or ``eval``, checked before
-    anything is written: none of them may write into a model directory (one
-    holding ``model.json``), whose files ``compose`` and ``report`` read."""
+    """``--out-dir``, checked before anything is written.  Only ``decompose``
+    writes into a model directory (one holding ``model.json``), whose files
+    ``compose`` and ``report`` read, and no command writes into a directory
+    whose ``manifest.json`` records another command."""
     out_dir = Path(args.out_dir)
-    if (out_dir / MODEL_FILE).exists():
+    if args.command != "decompose" and (out_dir / MODEL_FILE).exists():
         raise ValueError(f"--out-dir {out_dir} is a model directory (it holds {MODEL_FILE});"
                          f" {args.command} would overwrite its files")
+    manifest = out_dir / MANIFEST_FILE
+    if manifest.exists():
+        try:
+            command = json.loads(manifest.read_text(encoding="utf-8")).get("command")
+        except (ValueError, AttributeError):
+            command = None
+        if command != args.command:
+            raise ValueError(f"--out-dir {out_dir} holds a {MANIFEST_FILE} written by {command!r},"
+                             f" not {args.command}; {args.command} would overwrite it")
     return out_dir
 
 
@@ -221,6 +231,7 @@ def _invariant_violations(record: dict) -> list[str]:
 
 
 def cmd_decompose(args) -> int:
+    out_dir = _out_dir(args)
     stack, input_records, n_dropped = _input_stack(args)
     joint_rank, individual_ranks, decision = _resolve_ranks(args, stack)
     if joint_rank == 0 and not any(individual_ranks):
@@ -240,7 +251,6 @@ def cmd_decompose(args) -> int:
             file=sys.stderr,
         )
 
-    out_dir = Path(args.out_dir)
     record = _write_model(out_dir, args, input_records, stack, result, decision, n_dropped)
     print(report_tsv(_report(record)), end="")
     print(f"converged={result.converged} iterations={result.iterations} out_dir={out_dir}")
@@ -287,6 +297,7 @@ def _write_model(out_dir: Path, args, inputs: list[dict], stack: BlockStack, res
         "converged": result.converged,
         "stop_reason": result.stop_reason,
         "iterations": result.iterations,
+        "extrapolations_rejected": result.extrapolations_rejected,
         "final_residual": result.residual_history[-1],
         "invariants": {
             "max_residual_increase": result.max_residual_increase,
@@ -297,10 +308,11 @@ def _write_model(out_dir: Path, args, inputs: list[dict], stack: BlockStack, res
     }
 
     (out_dir / REPORT_FILE).write_text(_json_text(_report(record)), encoding="utf-8")
-    history = result.residual_history
-    log_lines = [f"iter=0 R={history[0]!r} rel_change=nan"]
+    history, steps = result.residual_history, result.step_history
+    log_lines = [f"iter=0 R={history[0]!r} rel_change=nan step={steps[0]}"]
     for t in range(1, len(history)):
-        log_lines.append(f"iter={t} R={history[t]!r} rel_change={(history[t - 1] - history[t]) / history[t - 1]!r}")
+        rel_change = (history[t - 1] - history[t]) / history[t - 1]
+        log_lines.append(f"iter={t} R={history[t]!r} rel_change={rel_change!r} step={steps[t]}")
     (out_dir / "fit_log.txt").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     (out_dir / MODEL_FILE).write_text(_json_text(record), encoding="utf-8")
     outputs += [REPORT_FILE, "fit_log.txt", MODEL_FILE]

@@ -223,6 +223,9 @@ class TestDecompose:
         for t in range(1, len(history)):
             assert float(fields[t]["rel_change"]) == (history[t - 1] - history[t]) / history[t - 1]
         assert history[-1] == model["final_residual"]
+        steps = [f["step"] for f in fields]
+        assert steps[0] == "plain" and set(steps) <= {"plain", "extrapolated"}
+        assert type(model["extrapolations_rejected"]) is int and model["extrapolations_rejected"] >= 0
 
     def test_model_json_keys_read_elsewhere(self, input_files, tmp_path, capsys):
         out = tmp_path / "out"
@@ -341,7 +344,11 @@ class TestRunContract:
         return install
 
     def test_rising_residual_exits_3(self, input_files, tmp_path, capsys, tampered_fit):
-        tampered_fit(lambda result: result.residual_history.append(result.residual_history[-1] + 1e-6))
+        def tamper(result):
+            result.residual_history.append(result.residual_history[-1] + 1e-6)
+            result.step_history.append("plain")
+
+        tampered_fit(tamper)
         out = tmp_path / "out"
         assert run_decompose(input_files, out) == 3
         assert "residual rose" in capsys.readouterr().err
@@ -576,6 +583,33 @@ class TestCompose:
         assert main([*argv, "--out-dir", str(model_dir) + suffix]) == 2
         assert "is a model directory (it holds model.json)" in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in model_dir.iterdir()} == before
+
+    def test_out_dir_of_another_command_refused(self, model_dir, input_files, tmp_path, capsys):
+        corpus, embedding = separable_corpus(seed=23)
+        write_embedding(embedding, tmp_path / "emb.txt")
+        write_corpus_tsv(corpus, tmp_path / "corpus.tsv")
+        composed, evals = tmp_path / "composed", tmp_path / "evals"
+        eval_argv = ["eval", "--input", str(tmp_path / "emb.txt"), "--train", str(tmp_path / "corpus.tsv"),
+                     "--test", str(tmp_path / "corpus.tsv"), "--out-dir"]
+        assert main(["compose", "--model", str(model_dir), "--compositions", "joint", "--out-dir", str(composed)]) == 0
+        # eval reruns into its own directory, appending to results.jsonl.
+        assert main([*eval_argv, str(evals)]) == 0 and main([*eval_argv, str(evals)]) == 0
+        assert len((evals / "results.jsonl").read_text().splitlines()) == 2
+        junk = tmp_path / "junk"
+        junk.mkdir()
+        (junk / "manifest.json").write_text("[]")
+        capsys.readouterr()
+        for argv, out, owner in [
+            ([*eval_argv, str(composed)], composed, "compose"),
+            ([*eval_argv, str(junk)], junk, None),
+            (["ranks", "--input", input_files[0], "--input", input_files[1], "--out-dir", str(evals)], evals, "eval"),
+            (["decompose", "--input", input_files[0], "--input", input_files[1], "--joint-rank", "1",
+              "--individual-ranks", "1,2", "--out-dir", str(evals)], evals, "eval"),
+        ]:
+            before = {path.name: path.read_bytes() for path in out.iterdir()}
+            assert main(argv) == 2
+            assert f"holds a manifest.json written by {owner!r}, not {argv[0]}" in capsys.readouterr().err
+            assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_repeated_composition_rejected(self, model_dir, tmp_path, capsys):
         out = tmp_path / "x"

@@ -158,6 +158,15 @@ class TestFit:
         with pytest.raises(ValueError, match="columns"):
             jive_fit([blocks[0], rng.standard_normal((3, 21))], JiveConfig(joint_rank=1, individual_ranks=(0, 0)))
 
+    def test_rejected_extrapolations_keep_residuals_monotone(self, rng):
+        blocks = [rng.standard_normal((6, 40)), rng.standard_normal((7, 40))]
+        result = jive_fit(blocks, JiveConfig(joint_rank=2, individual_ranks=(2, 2), epsilon=1e-8))
+        assert result.converged
+        assert result.extrapolations_rejected >= 1
+        assert result.max_residual_increase == 0.0
+        assert len(result.step_history) == len(result.residual_history)
+        assert result.step_history[:2] == ["plain", "plain"] and "extrapolated" in result.step_history
+
     def test_three_blocks(self):
         model = make_planted((6, 8, 10), 80, 2, (1, 2, 1), joint_scales=(2.0, 1.7),
                              individual_scales=((0.8,), (0.8, 0.7), (0.8,)), noise_sigma=0.01, seed=19)
@@ -203,14 +212,43 @@ class TestVarianceExplained:
             assert abs(report["blocks"][i]["residual_pct"] - residual) <= 1e-6
 
 
-def reference_fit(blocks, config, warm=True):
+def overlapping_blocks(dims, n, joint_rank, ranks, overlap, seed, energy=0.95):
+    """Blocks with one joint row space and individual row spaces at cosine
+    ``overlap`` to one another.  Joint singular values run from 1.0 to 0.9,
+    individual ones from 0.85 to 0.75, and each block's noise energy is set so
+    that its planted components hold about ``energy`` of the block."""
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.standard_normal((n, joint_rank + max(ranks) + sum(ranks))))[0].T
+    joint, common = basis[:joint_rank], basis[joint_rank : joint_rank + max(ranks)]
+    starts = np.cumsum([joint_rank + max(ranks), *ranks])
+    blocks = []
+    for p, r, start in zip(dims, ranks, starts):
+        own = basis[start : start + r]
+        individual = np.linalg.qr((overlap * common[:r] + np.sqrt(1 - overlap**2) * own).T)[0].T
+        sv = np.concatenate([np.linspace(1.0, 0.9, joint_rank), np.linspace(0.85, 0.75, r)])
+        sq, t = sv**2, sv.size
+        noise_sq = ((1 - energy) * sq.sum() - sq[-1] / 2) / (energy - (t - 0.5) / p)
+        noise = rng.standard_normal((p, n))
+        loadings = np.linalg.qr(rng.standard_normal((p, t)))[0]
+        signal = loadings @ (sv[:, None] * np.vstack([joint, individual]))
+        blocks.append(signal + np.sqrt(noise_sq) / np.linalg.norm(noise) * noise)
+    return blocks
+
+
+def reference_fit(blocks, config, warm=True, accelerate=True):
     """The uncompressed sweep loop: every step on the n-wide blocks.
 
     With ``warm`` each sweep's SVDs start from the previous sweep's rows, one
     subspace-iteration step as in the package; without it every sweep takes
-    exact LAPACK SVDs.  Returns the residual history, the lifted factors the
-    compressed fit must reproduce, and each block's joint/individual/residual
-    percentages."""
+    exact LAPACK SVDs.  With ``accelerate`` a sweep starts from the type-II
+    Anderson mix of the last two sweep differences, safeguarded as in the
+    package: a mixed sweep that raises the residual is dropped with the mixing
+    history and replaced by a plain sweep, and a plain sweep that does not
+    lower the residual ends the fit.  The fit stops once two accepted sweeps in
+    a row each lower the residual by less than epsilon relative.  Returns the
+    residual history, the lifted factors the compressed fit must reproduce,
+    each block's joint/individual/residual percentages and the number of
+    sweeps run."""
     arrays = [np.asarray(b, dtype=float) for b in blocks]
     stacked = np.vstack(arrays)
     offsets = np.cumsum([0] + [a.shape[0] for a in arrays])
@@ -228,25 +266,43 @@ def reference_fit(blocks, config, warm=True):
         t = truncated_svd(q.T @ m, rank)
         return q @ t.U, t.S[:, None] * t.Vt, t.Vt
 
-    ranks = config.individual_ranks
-    vt = fit(stacked, config.joint_rank)[2]
-    joint = (stacked @ vt.T) @ vt
-    parts = [fit(arrays[i] - joint[s], r) for i, (s, r) in enumerate(zip(slices, ranks))]
-    indiv = np.vstack([d @ h for d, h, _ in parts])
-    history = [float(np.sum((stacked - joint - indiv) ** 2))]
-    converged = history[0] <= exact_floor
-    while not converged and len(history) <= config.max_iter:
-        deflated = stacked - indiv
-        vt = fit(deflated, config.joint_rank, vt)[2]
+    def sweep(state, vt, parts):
+        vt = fit(stacked - state, config.joint_rank, vt)[2]
         joint = (stacked @ vt.T) @ vt
-        for i, (s, r) in enumerate(zip(slices, ranks)):
+        new_parts = []
+        for i, (s, r) in enumerate(zip(slices, config.individual_ranks)):
             leftover = arrays[i] - joint[s]
             leftover = leftover - (leftover @ vt.T) @ vt
-            parts[i] = fit(leftover, r, parts[i][2])
-        indiv = np.vstack([d @ h for d, h, _ in parts])
-        history.append(float(np.sum((stacked - joint - indiv) ** 2)))
-        rel = (history[-2] - history[-1]) / history[-2]
-        converged = rel < config.epsilon or history[-1] <= exact_floor
+            new_parts.append(fit(leftover, r, None if parts is None else parts[i][2]))
+        new_indiv = np.vstack([d @ h for d, h, _ in new_parts])
+        return float(np.sum((stacked - joint - new_indiv) ** 2)), vt, new_parts, new_indiv
+
+    def mixed(points):
+        # points: the last sweeps' (input, output) pairs; f = output - input.
+        fs = [out - inp for inp, out in points]
+        df = [b - a for a, b in zip(fs, fs[1:])]
+        dg = [b[1] - a[1] for a, b in zip(points, points[1:])]
+        gram = np.array([[np.sum(a * b) for b in df] for a in df])
+        gamma = np.linalg.lstsq(gram, np.array([np.sum(a * fs[-1]) for a in df]), rcond=None)[0]
+        return points[-1][1] - sum(c * d for c, d in zip(gamma, dg))
+
+    residual, vt, parts, indiv = sweep(np.zeros_like(stacked), None, None)
+    history, points, sweeps, small = [residual], [(np.zeros_like(stacked), indiv)], 1, 0
+    while history[-1] > exact_floor and small < 2 and len(history) <= config.max_iter:
+        extrapolated = accelerate and len(points) > 1
+        start = mixed(points) if extrapolated else indiv
+        trial = sweep(start, vt, parts)
+        sweeps += 1
+        if extrapolated and trial[0] > history[-1]:
+            extrapolated, points, start = False, points[-1:], indiv
+            trial = sweep(start, vt, parts)
+            sweeps += 1
+        if not extrapolated and trial[0] >= history[-1]:
+            break
+        points = (points + [(start, trial[3])])[-3:]
+        residual, vt, parts, indiv = trial
+        small = small + 1 if (history[-1] - residual) / history[-1] < config.epsilon else 0
+        history.append(residual)
 
     svd = truncated_svd(stacked @ vt.T, config.joint_rank)
     joint_basis = svd.S[:, None] * (svd.Vt @ vt)
@@ -255,7 +311,7 @@ def reference_fit(blocks, config, warm=True):
     for i, x in enumerate(arrays):
         j, a = loadings[i] @ joint_basis, parts[i][0] @ parts[i][1]
         pct.append([100 * float(np.sum(m**2)) / float(np.sum(x**2)) for m in (j, a, x - j - a)])
-    return history, joint_basis, loadings, [h for _, h, _ in parts], pct
+    return history, joint_basis, loadings, [h for _, h, _ in parts], pct, sweeps
 
 
 class TestCompressedFit:
@@ -272,19 +328,44 @@ class TestCompressedFit:
         ids=["two-blocks", "three-blocks", "P>n", "P=n"],
     )
     def test_matches_uncompressed_loop(self, dims, n, joint_rank, ranks):
+        # Extrapolated sweeps amplify rounding along the slow directions, so
+        # the two loops, equal in exact arithmetic, drift apart: at max_iter
+        # 200 these instances' joint bases differed by up to 2.6e-6.  Over 30
+        # sweeps they agree to about 1e-12, and a loose epsilon stops both on
+        # tolerance well within that.
         model = make_planted(dims, n, joint_rank, ranks, noise_sigma=0.05, seed=4)
-        config = JiveConfig(joint_rank=joint_rank, individual_ranks=ranks, epsilon=1e-9, max_iter=200)
-        history, joint_basis, loadings, scores, pct = reference_fit(model.blocks, config)
-        result = jive_fit(model.blocks, config)
-        assert result.iterations == len(history) - 1
-        assert np.abs(np.array(result.residual_history) - history).max() <= 1e-10 * history[0]
-        assert np.abs(result.joint_basis - joint_basis).max() <= 1e-10
-        for i in range(len(dims)):
-            assert np.abs(result.loadings[i] - loadings[i]).max() <= 1e-10
-            assert np.abs(result.individual_scores[i] - scores[i]).max() <= 1e-10
-        report = variance_explained(result)
-        got = np.array([[b[key] for key in PCT_KEYS] for b in report["blocks"]])
-        assert np.abs(got - np.array(pct)).max() <= 1e-10
+        for epsilon, max_iter, stop_reason in ((1e-9, 30, "max_iter"), (1e-4, 200, "tolerance")):
+            config = JiveConfig(joint_rank=joint_rank, individual_ranks=ranks, epsilon=epsilon, max_iter=max_iter)
+            history, joint_basis, loadings, scores, pct, sweeps = reference_fit(model.blocks, config)
+            result = jive_fit(model.blocks, config)
+            assert result.stop_reason == stop_reason
+            assert result.iterations == len(history) - 1
+            assert "extrapolated" in result.step_history
+            if stop_reason == "max_iter":
+                assert result.extrapolations_rejected == sweeps - len(history)
+            assert np.abs(np.array(result.residual_history) - history).max() <= 1e-10 * history[0]
+            assert np.abs(result.joint_basis - joint_basis).max() <= 1e-10
+            for i in range(len(dims)):
+                assert np.abs(result.loadings[i] - loadings[i]).max() <= 1e-10
+                assert np.abs(result.individual_scores[i] - scores[i]).max() <= 1e-10
+            report = variance_explained(result)
+            got = np.array([[b[key] for key in PCT_KEYS] for b in report["blocks"]])
+            assert np.abs(got - np.array(pct)).max() <= 1e-10
+
+    def test_acceleration_saves_sweeps_without_losing_accuracy(self):
+        # Individual row spaces at cosine 0.9 make the joint/individual split
+        # slow to settle, as in the benchmark's decompose workload.
+        blocks = overlapping_blocks((20, 40), 200, 10, (6, 10), overlap=0.9, seed=0)
+        config = JiveConfig(joint_rank=10, individual_ranks=(6, 10), epsilon=1e-6)
+        *_, sweeps = reference_fit(blocks, config)
+        _, plain_basis, *_, plain_sweeps = reference_fit(blocks, config, accelerate=False)
+        result = jive_fit(blocks, config)
+        tight = jive_fit(blocks, JiveConfig(joint_rank=10, individual_ranks=(6, 10), epsilon=1e-13, max_iter=5000))
+        plain_vt = np.linalg.qr(plain_basis.T)[0].T
+        assert result.converged and tight.converged
+        assert sweeps <= 0.6 * plain_sweeps
+        plain_sine = principal_angle_sines(plain_vt, tight.joint_vt).max()
+        assert principal_angle_sines(result.joint_vt, tight.joint_vt).max() <= 1.5 * plain_sine
 
     def test_warm_and_cold_sweeps_reach_the_same_fit(self):
         # Warm-started sweeps take inexact steps; run to a tight tolerance they
@@ -293,7 +374,7 @@ class TestCompressedFit:
                              individual_scales=((1.5, 1.2), (1.5, 1.2)), noise_sigma=0.05, seed=8)
         config = JiveConfig(joint_rank=3, individual_ranks=(2, 2), epsilon=1e-12, max_iter=2000)
         result = jive_fit(model.blocks, config)
-        history, joint_basis, *_ = reference_fit(model.blocks, config, warm=False)
+        history, joint_basis, *_ = reference_fit(model.blocks, config, warm=False, accelerate=False)
         assert result.converged and result.max_residual_increase == 0.0
         assert abs(result.residual_history[-1] - history[-1]) <= 1e-10 * history[-1]
         cold_vt = np.linalg.qr(joint_basis.T)[0].T
