@@ -34,15 +34,27 @@ such fits, and their residual equals the deflated stack's residual off the
 new joint rows, which the joint step keeps at or below the previous fit's,
 since that fit's individual part lies off its own joint rows.
 
-The sweep map is accelerated by type-II Anderson mixing over the last
-``ANDERSON_WINDOW`` sweeps (Walker & Ni, SIAM J. Numer. Anal. 2011).  The
-state is the stacked individual part; one sweep maps it to the individual
-part g of the fit it reaches, and an extrapolated sweep starts from the mix
-of the recent g that best cancels their steps g - state, with the last
-fit's warm rows.  Such a start is no fit of its own, so the argument above
-does not cover it, and a safeguard keeps the recorded residuals exactly
+The sweep map is accelerated by type-II Anderson mixing over up to
+``ANDERSON_WINDOW`` past sweeps (Walker & Ni, SIAM J. Numer. Anal. 2011).
+The state is the stacked individual part; one sweep maps it to the
+individual part g of the fit it reaches, and an extrapolated sweep starts
+from the mix of the recent g that best cancels their steps g - state, with
+the last fit's warm rows.  The mixing restarts: once a sweep has started
+from a mix of ``ANDERSON_WINDOW`` differences, the history is cut back to
+that sweep, so the sweeps run in cycles of one plain sweep and up to
+``ANDERSON_WINDOW`` extrapolated ones.  Over a sliding window every
+extrapolation's step feeds the next mix, and that loop amplified rounding
+by about 1.25 per sweep: two fits of the same data that differ only in
+rounding, such as the same words in another order, ended up to 5e-4 apart
+after 200 sweeps.  With restarts they agree to rounding, as plain sweeps
+do.  Extrapolation pays where the plain alternation converges slowly
+because the blocks' individual row spaces overlap; on pure noise it gains
+little, and each thrown-away step below costs a sweep.
+
+An extrapolated start is no fit of its own, so the argument above does not
+cover it, and a safeguard keeps the recorded residuals exactly
 non-increasing: an extrapolated sweep whose residual is above the last
-accepted one is thrown away, the mixing history is cleared back to the last
+accepted one is thrown away, the mixing history is cut back to the last
 accepted sweep, and a plain sweep from the last accepted fit is taken
 instead.  Every accepted fit, extrapolated or not, has its individual part
 off its joint rows, so that plain sweep cannot raise the residual in exact
@@ -53,12 +65,8 @@ with ``tolerance`` only after two accepted sweeps in a row each lower the
 residual by less than ``epsilon`` relative.  Near convergence, a small
 relative decrease can also mean a subspace that has not settled; at the
 default epsilon the fit stops within about 1e-5 relative of the residual
-that a run to epsilon 1e-13 reaches.  Extrapolation also amplifies rounding
-along slowly converging directions: two fits of the same data that differ
-only in rounding, such as the same words in another order, can end apart by
-about the accuracy the stop rule gives, where plain sweeps would agree to
-rounding.  A rerun of the same input takes the same steps and gives the
-same bytes.
+that a run to epsilon 1e-13 reaches.  A rerun of the same input takes the
+same steps and gives the same bytes.
 
 Every iterate lies in the row space of the stacked data X (P x n, P the
 summed block dims, n the vocabulary).  :class:`BlockStack` therefore takes
@@ -90,11 +98,13 @@ from embedjive.linalg import NumericError, TruncatedSVD, truncated_svd
 # relative-decrease test would divide rounding noise by rounding noise there.
 EXACT_FIT_REL_TOL = 1e-24
 
-# The number of past sweep differences that each extrapolated sweep mixes.
-# On eight seeds of the benchmark's decompose inputs at the default epsilon,
-# windows 1 to 4 took 34.2, 25.9, 23.4 and 29.8 sweeps on average, rejected
-# ones included; 3 stopped further from the limit (worst joint-row sine 3.8e-2
-# to an epsilon 1e-13 fit, against 2.8e-2 for 2).
+# The number of past sweep differences that an extrapolated sweep mixes
+# before the mixing restarts.  On eight seeds of the benchmark's decompose
+# inputs at the default epsilon, windows 1 to 4 took 30.1, 31.2, 31.6 and
+# 36.1 sweeps on average, rejected ones included, against 64.9 without
+# mixing.  Window 2 took the fewest on criterion 3's 100 pure-noise fits
+# (5274, against 5458 for window 1 and 4930 without mixing), and with
+# windows 3 and 4 fits that differ only in rounding drifted apart again.
 ANDERSON_WINDOW = 2
 
 # The percentages of each block entry of a variance report.
@@ -368,7 +378,10 @@ def jive_fit(blocks, config: JiveConfig) -> JiveResult:
             # Only rounding is left: keep the last accepted fit.
             stop_reason = "tolerance"
             break
-        recent = [*recent, (fit[3] - state, fit[3])][-(ANDERSON_WINDOW + 1):]
+        recent = [*recent, (fit[3] - state, fit[3])]
+        if len(recent) > ANDERSON_WINDOW + 1:
+            # The window is used up: restart the mixing from this sweep.
+            recent = recent[-1:]
 
     return _extract(stack, vt, parts, history, steps, rejected, stop_reason, config)
 
