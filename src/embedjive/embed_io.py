@@ -27,14 +27,6 @@ class FormatError(ValueError):
     """An embedding file violates its declared text format."""
 
 
-class NonFiniteError(ValueError):
-    """An embedding holds a NaN or infinite entry; ``word`` is the first word with one."""
-
-    def __init__(self, message: str, word: str, value: float):
-        super().__init__(message)
-        self.word, self.value = word, value
-
-
 @dataclass(eq=False)
 class EmbeddingMatrix:
     """Dense embedding block with an ordered vocabulary.
@@ -62,9 +54,8 @@ class EmbeddingMatrix:
         if len(self._index) != n:
             raise ValueError(f"{self.name}: vocabulary contains duplicate words")
         if not np.isfinite(self.data).all():
-            j, i = np.argwhere(~np.isfinite(self.data.T))[0]
-            word, value = self.vocab[j], float(self.data[i, j])
-            raise NonFiniteError(f"{self.name}: non-finite value {value!r} for word {word!r}", word, value)
+            word, value = _first_non_finite(self.vocab, self.data)
+            raise ValueError(f"{self.name}: non-finite value {value!r} for word {word!r}")
 
     @property
     def dim(self) -> int:
@@ -77,6 +68,12 @@ class EmbeddingMatrix:
 
     def column_index(self, word: str) -> int | None:
         return self._index.get(word)
+
+
+def _first_non_finite(vocab: list[str], data: np.ndarray) -> tuple[str, float]:
+    """The first word, in vocabulary order, with a NaN or infinite entry, and that entry."""
+    j, i = np.argwhere(~np.isfinite(data.T))[0]
+    return vocab[j], float(data[i, j])
 
 
 def _looks_like_header(parts: list[str]) -> bool:
@@ -150,10 +147,11 @@ def parse_embedding(path: str | Path, fmt: str = "auto", *, value_text: list[str
         logger.warning("%s: skipped %d duplicate words (first occurrence kept)", path, duplicates)
     if declared_words is not None and declared_words != len(vocab) + duplicates:
         logger.warning("%s: header declares %d words, file contains %d", path, declared_words, len(vocab) + duplicates)
-    try:
-        return EmbeddingMatrix(vocab=vocab, data=np.vstack(rows).T, name=path.stem)
-    except NonFiniteError as exc:
-        raise FormatError(f"{path}: non-finite value {exc.value!r} for word {exc.word!r}") from None
+    data = np.vstack(rows).T
+    if not np.isfinite(data).all():
+        word, value = _first_non_finite(vocab, data)
+        raise FormatError(f"{path}: non-finite value {value!r} for word {word!r}")
+    return EmbeddingMatrix(vocab=vocab, data=data, name=path.stem)
 
 
 def _parses_as_float(token: str) -> bool:

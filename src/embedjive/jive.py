@@ -34,39 +34,41 @@ such fits, and their residual equals the deflated stack's residual off the
 new joint rows, which the joint step keeps at or below the previous fit's,
 since that fit's individual part lies off its own joint rows.
 
-The sweep map is accelerated by type-II Anderson mixing over up to
-``ANDERSON_WINDOW`` past sweeps (Walker & Ni, SIAM J. Numer. Anal. 2011).
-The state is the stacked individual part; one sweep maps it to the
-individual part g of the fit it reaches, and an extrapolated sweep starts
-from the mix of the recent g that best cancels their steps g - state, with
-the last fit's warm rows.  The mixing restarts: once a sweep has started
-from a mix of ``ANDERSON_WINDOW`` differences, the history is cut back to
-that sweep, so the sweeps run in cycles of one plain sweep and up to
-``ANDERSON_WINDOW`` extrapolated ones.  Over a sliding window every
-extrapolation's step feeds the next mix, and that loop amplified rounding
-by about 1.25 per sweep: two fits of the same data that differ only in
-rounding, such as the same words in another order, ended up to 5e-4 apart
-after 200 sweeps.  With restarts they agree to rounding, as plain sweeps
-do.  Extrapolation pays where the plain alternation converges slowly
-because the blocks' individual row spaces overlap; on pure noise it gains
-little, and each thrown-away step below costs a sweep.
+The sweep map is accelerated by a fixed momentum step (the heavy ball of
+Polyak, USSR Comput. Math. Math. Phys. 1964).  The state is the stacked
+individual part: an extrapolated sweep starts from
+``indiv + MOMENTUM * (indiv - previous)``, where ``indiv`` is the last
+accepted fit's individual part and ``previous`` the one before it, with the
+last fit's warm rows.  Near a fixed point the alternation of the two
+subproblems acts like alternating projections, so each slow mode of the
+sweep map contracts by a squared cosine lambda in [0, 1), close to 1 where
+the blocks' individual row spaces overlap.  Under momentum beta such a mode
+obeys ``e' = lambda ((1 + beta) e - beta e_prev)``, whose roots have modulus
+``sqrt(beta lambda)`` while ``lambda < 4 beta / (1 + beta)^2`` and stay below
+1 for every lambda below 1: no mode grows, and a mode at lambda 0.96
+contracts by 0.88 per sweep instead of 0.96.  The step is a fixed linear
+combination of two fits, with no solve that could amplify rounding, so two
+fits of the same data that differ only in rounding, such as the same words
+in another order, agree to rounding.  Extrapolation pays where the plain
+alternation converges slowly because the individual row spaces overlap; on
+pure noise it gains little, and each thrown-away step below costs a sweep.
 
 An extrapolated start is no fit of its own, so the argument above does not
 cover it, and a safeguard keeps the recorded residuals exactly
 non-increasing: an extrapolated sweep whose residual is above the last
-accepted one is thrown away, the mixing history is cut back to the last
-accepted sweep, and a plain sweep from the last accepted fit is taken
-instead.  Every accepted fit, extrapolated or not, has its individual part
-off its joint rows, so that plain sweep cannot raise the residual in exact
-arithmetic; when rounding makes it fail to lower it, it is not recorded
-either, and the fit stops with ``tolerance`` on the last accepted fit.  An
-extrapolated step can land on a small decrease by chance, so the fit stops
-with ``tolerance`` only after two accepted sweeps in a row each lower the
-residual by less than ``epsilon`` relative.  Near convergence, a small
-relative decrease can also mean a subspace that has not settled; at the
-default epsilon the fit stops within about 1e-5 relative of the residual
-that a run to epsilon 1e-13 reaches.  A rerun of the same input takes the
-same steps and gives the same bytes.
+accepted one is thrown away, and a plain sweep from the last accepted fit is
+taken instead.  Every accepted fit, extrapolated or not, has its individual
+part off its joint rows, so that plain sweep cannot raise the residual in
+exact arithmetic; when rounding makes it fail to lower it, it is not
+recorded either, and the fit stops with ``tolerance`` on the last accepted
+fit.  An extrapolated step can land on a small decrease by chance, so the
+fit stops with ``tolerance`` only after two accepted sweeps in a row each
+lower the residual by less than ``epsilon`` relative.  Near convergence, a
+small relative decrease can also mean a subspace that has not settled; on
+the benchmark's decompose inputs at the default epsilon the fit stops within
+about 2e-6 relative of the residual that a run to epsilon 1e-13 reaches, and
+within a largest joint sine of 6.4e-3 of that run's joint rows.  A rerun of
+the same input takes the same steps and gives the same bytes.
 
 Every iterate lies in the row space of the stacked data X (P x n, P the
 summed block dims, n the vocabulary).  :class:`BlockStack` therefore takes
@@ -98,14 +100,17 @@ from embedjive.linalg import NumericError, TruncatedSVD, truncated_svd
 # relative-decrease test would divide rounding noise by rounding noise there.
 EXACT_FIT_REL_TOL = 1e-24
 
-# The number of past sweep differences that an extrapolated sweep mixes
-# before the mixing restarts.  On eight seeds of the benchmark's decompose
-# inputs at the default epsilon, windows 1 to 4 took 30.1, 31.2, 31.6 and
-# 36.1 sweeps on average, rejected ones included, against 64.9 without
-# mixing.  Window 2 took the fewest on criterion 3's 100 pure-noise fits
-# (5274, against 5458 for window 1 and 4930 without mixing), and with
-# windows 3 and 4 fits that differ only in rounding drifted apart again.
-ANDERSON_WINDOW = 2
+# The momentum coefficient of an extrapolated sweep.  Summed over seeds 1-4 of
+# the benchmark's decompose inputs (individual row spaces at cosine 0.9) at
+# the default epsilon, with the largest joint sine to an epsilon 1e-13 fit:
+#
+#   coefficient   0.5     0.6     0.7     0.8     0.9
+#   evaluations   153     129     103     106     115
+#   worst sine    2.3e-2  2.1e-2  1.9e-2  6.4e-3  1.3e-2
+#
+# against 123 evaluations and a sine of 2.3e-2 for restarted Anderson mixing
+# over two differences.
+MOMENTUM = 0.8
 
 # The percentages of each block entry of a variance report.
 PCT_KEYS = ("joint_pct", "individual_pct", "residual_pct")
@@ -156,7 +161,7 @@ class JiveResult:
     ``residual_history[t]`` is the residual after accepted sweep t, never
     above the one before it; ``step_history[t]`` says whether that sweep
     started from the last fit (``"plain"``; sweep 0 starts from a zero
-    individual part) or from an Anderson mix (``"extrapolated"``).
+    individual part) or from a momentum step (``"extrapolated"``).
     ``extrapolations_rejected`` counts the extrapolated sweeps thrown away
     because they raised the residual; each was followed by a plain sweep, so
     the fit evaluated ``1 + iterations + extrapolations_rejected`` sweeps,
@@ -302,23 +307,8 @@ def _svd_step(m: np.ndarray, rank: int, rows: np.ndarray | None = None) -> Trunc
     return TruncatedSVD(U=q @ svd.U, S=svd.S, Vt=svd.Vt)
 
 
-def _anderson_state(recent: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """The type-II Anderson mix of the recent sweeps, each given as
-    ``(f, g)``: the individual part g it reached and its step f, g minus the
-    state it started from.  With dF and dG the differences of successive
-    sweeps' f and g, the next state is ``g - dG @ gamma`` for the last g,
-    where gamma solves the small normal equations of
-    ``min ||f - dF @ gamma||`` for the last f."""
-    f, g = recent[-1]
-    df = [b[0] - a[0] for a, b in zip(recent, recent[1:])]
-    dg = [b[1] - a[1] for a, b in zip(recent, recent[1:])]
-    gram = np.array([[np.vdot(a, b) for b in df] for a in df])
-    gamma = np.linalg.lstsq(gram, np.array([np.vdot(a, f) for a in df]), rcond=None)[0]
-    return g - sum(c * d for c, d in zip(gamma, dg))
-
-
 def jive_fit(blocks, config: JiveConfig) -> JiveResult:
-    """Alternate joint and individual updates, Anderson-accelerated, until
+    """Alternate joint and individual updates, with momentum, until
     two accepted sweeps in a row each lower the residual by less than
     ``config.epsilon`` relative, a plain sweep fails to lower it, or
     ``config.max_iter`` sweeps have been accepted after sweep 0.
@@ -346,9 +336,8 @@ def jive_fit(blocks, config: JiveConfig) -> JiveResult:
         return residual_sq, vt, parts, indiv
 
     # Sweep 0 has no previous rows, so its steps are exact truncated SVDs.
-    # ``recent`` holds the (f, g) of the accepted sweeps that the next mix uses.
-    fit, step = sweep(np.zeros_like(x), None, [None] * len(ranks)), "plain"
-    recent = [(fit[3], fit[3])]
+    # ``previous`` is the individual part of the accepted fit before the last.
+    fit, step, previous = sweep(np.zeros_like(x), None, [None] * len(ranks)), "plain", None
     stop_reason, small_decreases = "max_iter", 0
     while True:
         residual_sq, vt, parts, indiv = fit
@@ -365,23 +354,20 @@ def jive_fit(blocks, config: JiveConfig) -> JiveResult:
         if len(history) > config.max_iter:
             break
         rows = [part.Vt for part in parts]
-        step = "extrapolated" if len(recent) > 1 else "plain"
-        state = _anderson_state(recent) if step == "extrapolated" else indiv
-        fit = sweep(state, vt, rows)
-        if step == "extrapolated" and fit[0] > residual_sq:
-            # Throw the step away with the mixing history, and take a plain
-            # sweep from the last accepted fit instead.
-            rejected += 1
-            recent, step, state = recent[-1:], "plain", indiv
-            fit = sweep(state, vt, rows)
+        if previous is None:
+            step, fit = "plain", sweep(indiv, vt, rows)
+        else:
+            step, fit = "extrapolated", sweep(indiv + MOMENTUM * (indiv - previous), vt, rows)
+            if fit[0] > residual_sq:
+                # Throw the step away, and take a plain sweep from the last
+                # accepted fit instead.
+                rejected += 1
+                step, fit = "plain", sweep(indiv, vt, rows)
         if step == "plain" and fit[0] >= residual_sq:
             # Only rounding is left: keep the last accepted fit.
             stop_reason = "tolerance"
             break
-        recent = [*recent, (fit[3] - state, fit[3])]
-        if len(recent) > ANDERSON_WINDOW + 1:
-            # The window is used up: restart the mixing from this sweep.
-            recent = recent[-1:]
+        previous = indiv
 
     return _extract(stack, vt, parts, history, steps, rejected, stop_reason, config)
 
