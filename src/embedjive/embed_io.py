@@ -77,7 +77,9 @@ def _first_non_finite(vocab: list[str], data: np.ndarray) -> tuple[str, float]:
 
 
 def _looks_like_header(parts: list[str]) -> bool:
-    return len(parts) == 2 and all(t.isdigit() for t in parts)
+    # isdecimal, unlike isdigit, accepts only digits that int() parses ('²' is
+    # a digit but no decimal).
+    return len(parts) == 2 and all(t.isdecimal() for t in parts)
 
 
 def parse_embedding(path: str | Path, fmt: str = "auto", *, value_text: list[str] | None = None) -> EmbeddingMatrix:

@@ -12,10 +12,15 @@ re-truncate each block's leftover to its individual rank.  Sweep 0 starts
 from a zero individual part and no previous rows, so it takes exact
 truncated SVDs.  Every later sweep replaces each SVD of a matrix M by one
 warm step from the previous sweep's rows W (the joint rows for the joint
-step, the block's individual rows for its individual step):
-``q = qr(M W')``, then the SVD of the small ``q' M``, which is the Ritz fit
-of M over span(M W') (Halko, Martinsson & Tropp, SIAM Review 2011, §4.5).
-It never forms ``M M'`` and costs O(p P r) instead of a full SVD.
+step, the block's last ``q' M`` for its individual step): ``q = qr(M W')``
+and the Ritz fit ``q q' M``, the best fit of M whose columns lie in
+span(M W') (Halko, Martinsson & Tropp, SIAM Review 2011, §4.5).  The step
+takes no SVD: the joint rows are ``q' M`` orthonormalised with one QR, and
+each block keeps the pair ``(q, q' M)``.  It never forms ``M M'`` and costs
+O(p P r) instead of a full SVD.  Only the extraction after the last sweep
+puts the factors in SVD form, with one SVD of the joint part and one of
+each block's individual part, so a fit takes at most 2(K + 1) SVDs
+whatever its number of sweeps.
 
 The joint part is the projection of the data onto the current joint rows V,
 ``X V'V`` (Lock et al., Ann. Appl. Stat. 2013), so each block's leftover
@@ -24,15 +29,15 @@ and so does its truncation: ``J_i @ A_i' = 0`` holds at every sweep and the
 per-block energies split additively.
 
 With the warm steps a plain sweep, one that starts from the last fit's
-individual part, cannot raise the squared residual.  The Ritz fit captures
-``||q' M||^2 >= ||M W'||^2``, the energy that the previous rows capture, and
-so does at least as well as any fit of M whose rows lie in span(W).  A
-leftover has ``M = M (I - V'V)``, so ``M W' = M ((I - V'V) W')`` and its fit
-does at least as well as any fit whose rows lie in span(W) projected off the
-new joint rows.  The previous individual parts projected off those rows are
-such fits, and their residual equals the deflated stack's residual off the
-new joint rows, which the joint step keeps at or below the previous fit's,
-since that fit's individual part lies off its own joint rows.
+individual part, cannot raise the squared residual.  The Ritz fit does at
+least as well as any fit of M whose rows lie in span(W), since such a fit's
+columns lie in span(M W').  A leftover has ``M = M (I - V'V)``, so
+``M W' = M ((I - V'V) W')`` and its fit does at least as well as any fit
+whose rows lie in span(W) projected off the new joint rows.  The previous
+individual parts projected off those rows are such fits, and their residual
+equals the deflated stack's residual off the new joint rows, which the joint
+step keeps at or below the previous fit's, since that fit's individual part
+lies off its own joint rows.
 
 The sweep map is accelerated by a fixed momentum step (the heavy ball of
 Polyak, USSR Comput. Math. Math. Phys. 1964).  The state is the stacked
@@ -152,7 +157,9 @@ class JiveResult:
     ``loadings[i] @ joint_basis`` reconstructs block i's joint part; the
     stacked loadings are column-orthonormal.  ``individual_scores[i]`` carries
     the singular-value scale of the individual part, whose left factors
-    ``individual_loadings[i]`` are column-orthonormal per block.
+    ``individual_loadings[i]`` are column-orthonormal per block.  Every
+    loading column, of the stacked joint loadings and of each block's
+    individual loadings, has its largest-magnitude entry positive.
 
     ``joint_sq``, ``individual_sq`` and ``residual_sq`` are each block's
     squared Frobenius norms of its three parts.  ``stop_reason`` is
@@ -294,17 +301,22 @@ def _fro2(m: np.ndarray) -> float:
     return float(np.vdot(m, m).real)
 
 
-def _svd_step(m: np.ndarray, rank: int, rows: np.ndarray | None = None) -> TruncatedSVD:
-    """Rank-``rank`` fit of ``m``: its truncated SVD, or with ``rows`` (the
-    previous sweep's right factor) the Ritz fit over span(m @ rows')."""
-    p, n = m.shape
+def _svd(m: np.ndarray, rank: int) -> TruncatedSVD:
+    """Rank-``rank`` truncated SVD of ``m``, with empty factors at rank 0."""
     if rank == 0:
-        return TruncatedSVD(U=np.zeros((p, 0)), S=np.zeros(0), Vt=np.zeros((0, n)))
+        return TruncatedSVD(U=np.zeros((m.shape[0], 0)), S=np.zeros(0), Vt=np.zeros((0, m.shape[1])))
+    return truncated_svd(m, rank)
+
+
+def _ritz_fit(m: np.ndarray, rank: int, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The Ritz pair ``(q, q' m)`` of ``m`` over span(m @ rows'), where
+    ``rows`` are the previous sweep's warm rows: ``q q' m`` is the best fit of
+    ``m`` whose columns lie in that span.  Without ``rows`` they are the rows
+    of the rank-``rank`` truncated SVD, whose Ritz fit is that SVD."""
     if rows is None:
-        return truncated_svd(m, rank)
+        rows = _svd(m, rank).Vt
     q = np.linalg.qr(m @ rows.T)[0]
-    svd = truncated_svd(q.T @ m, rank)
-    return TruncatedSVD(U=q @ svd.U, S=svd.S, Vt=svd.Vt)
+    return q, q.T @ m
 
 
 def jive_fit(blocks, config: JiveConfig) -> JiveResult:
@@ -325,22 +337,23 @@ def jive_fit(blocks, config: JiveConfig) -> JiveResult:
 
     def sweep(state, vt, rows):
         """The fit that one sweep from the individual part ``state`` and the
-        warm rows reaches: ``(residual, vt, parts, indiv)``."""
-        vt = _svd_step(x - state, config.joint_rank, vt).Vt
+        warm rows reaches: ``(residual, vt, rows, indiv)``, with each block's
+        warm rows for the next sweep in ``rows``."""
+        vt = np.linalg.qr(_ritz_fit(x - state, config.joint_rank, vt)[1].T)[0].T
         leftover = x - (x @ vt.T) @ vt
-        parts = [_svd_step(leftover[s], r, w) for s, r, w in zip(stack.slices, ranks, rows)]
-        indiv = np.vstack([part.compose() for part in parts])
+        fits = [_ritz_fit(leftover[s], r, w) for s, r, w in zip(stack.slices, ranks, rows)]
+        indiv = np.vstack([q @ h for q, h in fits])
         residual_sq = _fro2(leftover - indiv)
         if not np.isfinite(residual_sq):
             raise NumericError(f"non-finite residual at iteration {len(history)}")
-        return residual_sq, vt, parts, indiv
+        return residual_sq, vt, [h for _, h in fits], indiv
 
     # Sweep 0 has no previous rows, so its steps are exact truncated SVDs.
     # ``previous`` is the individual part of the accepted fit before the last.
     fit, step, previous = sweep(np.zeros_like(x), None, [None] * len(ranks)), "plain", None
     stop_reason, small_decreases = "max_iter", 0
     while True:
-        residual_sq, vt, parts, indiv = fit
+        residual_sq, vt, rows, indiv = fit
         history.append(residual_sq)
         steps.append(step)
         if residual_sq <= exact_floor:
@@ -353,7 +366,6 @@ def jive_fit(blocks, config: JiveConfig) -> JiveResult:
             break
         if len(history) > config.max_iter:
             break
-        rows = [part.Vt for part in parts]
         if previous is None:
             step, fit = "plain", sweep(indiv, vt, rows)
         else:
@@ -369,13 +381,16 @@ def jive_fit(blocks, config: JiveConfig) -> JiveResult:
             break
         previous = indiv
 
-    return _extract(stack, vt, parts, history, steps, rejected, stop_reason, config)
+    return _extract(stack, vt, indiv, history, steps, rejected, stop_reason, config)
 
 
-def _extract(stack, vt, parts, history, steps, rejected, stop_reason, config):
-    # Split the stacked joint part C @ vt into orthonormal loadings and
-    # singular-value-scaled scores via an SVD of the small P x r matrix.
-    svd = _svd_step(stack.stacked @ vt.T, vt.shape[0])
+def _extract(stack, vt, indiv, history, steps, rejected, stop_reason, config):
+    # The fit's only SVDs after sweep 0, all under truncated_svd's sign rule:
+    # the stacked joint part C @ vt split into orthonormal loadings and
+    # singular-value-scaled scores via an SVD of the small P x r matrix, and
+    # each block's individual part put in the same form.
+    svd = _svd(stack.stacked @ vt.T, vt.shape[0])
+    parts = [_svd(indiv[s], r) for s, r in zip(stack.slices, config.individual_ranks)]
     unit_rows = svd.Vt @ vt
     joint_rows = svd.S[:, None] * unit_rows
     loadings = [np.ascontiguousarray(svd.U[s]) for s in stack.slices]

@@ -40,6 +40,16 @@ class TestParse:
         m = parse_embedding(_write(tmp_path, "a 1 0\nb 0 1\n"), "auto")
         assert (m.dim, m.n_words) == (2, 2)
 
+    def test_non_decimal_digit_is_no_header(self, tmp_path):
+        # '²' is a digit to str.isdigit but not a number to int().
+        path = _write(tmp_path, "\u00b2 3\nfoo 1\n")
+        with pytest.raises(FormatError, match=r"line 1: expected word2vec header 'n d', got '\u00b2 3'") as info:
+            parse_embedding(path, "word2vec-text")
+        assert str(path) in str(info.value)
+        m = parse_embedding(path, "auto")
+        assert m.vocab == ["\u00b2", "foo"]
+        np.testing.assert_array_equal(m.data, [[3.0, 1.0]])
+
     def test_inconsistent_length(self, tmp_path):
         with pytest.raises(FormatError, match=r"line 2: expected 2 values, got 1"):
             parse_embedding(_write(tmp_path, "a 1.0 2.0\nb 3.0\n"), "glove-text")

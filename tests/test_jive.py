@@ -251,7 +251,9 @@ def reference_fit(blocks, config, warm=True, accelerate=True):
     two accepted sweeps in a row each lower the residual by less than epsilon
     relative.  Returns the residual history, the lifted factors the
     compressed fit must reproduce, each block's joint/individual/residual
-    percentages and the number of sweeps run."""
+    percentages and the number of sweeps run.  The individual scores are
+    ``S Vt`` of the truncated SVD of each block's final individual part, so
+    their row signs follow :func:`truncated_svd`'s rule."""
     arrays = [np.asarray(b, dtype=float) for b in blocks]
     stacked = np.vstack(arrays)
     offsets = np.cumsum([0] + [a.shape[0] for a in arrays])
@@ -303,7 +305,8 @@ def reference_fit(blocks, config, warm=True, accelerate=True):
     for i, x in enumerate(arrays):
         j, a = loadings[i] @ joint_basis, parts[i][0] @ parts[i][1]
         pct.append([100 * float(np.sum(m**2)) / float(np.sum(x**2)) for m in (j, a, x - j - a)])
-    return history, joint_basis, loadings, [h for _, h, _ in parts], pct, sweeps
+    scores = [fit(d @ h, r)[1] for (d, h, _), r in zip(parts, config.individual_ranks)]
+    return history, joint_basis, loadings, scores, pct, sweeps
 
 
 def evaluated_sweeps(result):
@@ -359,7 +362,7 @@ class TestCompressedFit:
     def test_word_order_changes_the_fit_only_by_rounding(self, dims, n, joint_rank, ranks):
         # The same words in another order give a stack that differs from the
         # first only in rounding.  A momentum step is a fixed combination of
-        # two fits and does not amplify it: the joint bases agree to 2.4e-15.
+        # two fits and does not amplify it: the joint bases agree to 1.8e-15.
         # Anderson mixing over a sliding window left them 3e-5 (two-blocks)
         # and 5e-4 (P>n) apart at epsilon 1e-9.
         model = make_planted(dims, n, joint_rank, ranks, noise_sigma=0.05, seed=4)
@@ -458,6 +461,25 @@ class TestCompressedFit:
         assert result.iterations >= 1 and shapes
         assert all(shape[1] != n for shape in shapes)
 
+    def test_svds_only_at_sweep_0_and_extract(self, monkeypatch):
+        # Later sweeps keep their Ritz pairs, so however many sweeps a fit
+        # takes, it calls the SVD once per nonzero-rank part at sweep 0 and
+        # once more when the factors are put in SVD form.
+        calls = []
+        plain = embedjive.jive.truncated_svd
+
+        def counter(matrix, k):
+            calls.append(k)
+            return plain(matrix, k)
+
+        monkeypatch.setattr(embedjive.jive, "truncated_svd", counter)
+        for dims, n, joint_rank, ranks in (((20, 30), 200, 3, (3, 4)), ((6, 8, 10), 80, 2, (1, 0, 2))):
+            model = make_planted(dims, n, joint_rank, ranks, noise_sigma=0.05, seed=4)
+            calls.clear()
+            result = jive_fit(model.blocks, JiveConfig(joint_rank=joint_rank, individual_ranks=ranks, epsilon=1e-9))
+            assert result.iterations >= 20
+            assert sorted(calls) == sorted(2 * [r for r in (joint_rank, *ranks) if r])
+
     def test_block_svds_taken_once_on_first_use(self, rng):
         stack = BlockStack([rng.standard_normal((5, 40)), rng.standard_normal((7, 40))])
         # A fit with given ranks never reads them, so it does not pay for them.
@@ -475,6 +497,23 @@ class TestCompressedFit:
         from_list, from_stack = jive_fit(blocks, config), jive_fit(BlockStack(blocks), config)
         assert from_list.residual_history == from_stack.residual_history
         assert np.array_equal(from_list.joint_basis, from_stack.joint_basis)
+
+
+class TestSignRule:
+    @pytest.mark.parametrize(
+        "dims, n, joint_rank, ranks",
+        [((20, 30), 200, 3, (3, 4)), ((8, 12), 90, 2, (2, 0)), ((6, 8, 10), 80, 2, (1, 2, 1)), ((6, 8, 10), 80, 2, (1, 0, 2))],
+        ids=["two-blocks", "two-blocks-rank-0", "three-blocks", "three-blocks-rank-0"],
+    )
+    def test_largest_loading_entry_positive(self, dims, n, joint_rank, ranks):
+        # Every loading column has its largest-magnitude entry positive: each
+        # block's individual loadings, and the stacked joint loadings, whose
+        # columns are orthonormal only stacked.
+        for seed in range(10):
+            model = make_planted(dims, n, joint_rank, ranks, noise_sigma=0.05, seed=seed)
+            result = jive_fit(model.blocks, JiveConfig(joint_rank=joint_rank, individual_ranks=ranks))
+            for u in (np.vstack(result.loadings), *result.individual_loadings):
+                assert (u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])] > 0).all()
 
 
 class TestRunContract:
