@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -88,77 +89,141 @@ def parse_embedding(path: str | Path, fmt: str = "auto", *, value_text: list[str
     ``fmt`` is one of ``glove-text``, ``word2vec-text`` or ``auto``; auto
     sniffing treats a two-token all-integer first line as a word2vec header.
     Word order is preserved; on duplicate words the first occurrence wins and
-    the number of skipped repeats is logged.  A NaN or infinite value is a
-    :class:`FormatError` naming the file and the word.
+    the number of skipped repeats is logged.
+
+    A record is a word and then its values, separated by any run of
+    whitespace (what ``str.split`` splits on: spaces, tabs and the other
+    Unicode spaces); blank lines are skipped and every record holds the same
+    number of values.  A value is a decimal number as ``numpy.loadtxt``
+    reads it: an optional sign, ASCII digits with an optional point and
+    exponent (``-1``, ``.5``, ``5.``, ``+1e5``), or ``nan``, ``inf`` or
+    ``infinity`` in any case.  ``1_0`` and non-ASCII digits, which Python's
+    ``float`` accepts, are refused.  A refused line is a :class:`FormatError`
+    naming the file and the line, and the first value that is not a number;
+    so is a NaN or infinite value, naming the word.
 
     If ``value_text`` is a list, each kept word's value tokens, joined by
     single spaces, are appended to it in vocabulary order: the text that was
     parsed, for a caller that copies checked values without formatting them
-    again.
+    again.  Nothing is appended when parsing fails.
     """
     path = Path(path)
     if fmt not in ("auto", *FORMATS):
         raise ValueError(f"unknown embedding format {fmt!r}; expected one of {('auto', *FORMATS)}")
 
-    vocab: list[str] = []
-    rows: list[np.ndarray] = []
-    seen: set[str] = set()
-    duplicates = 0
-    dim: int | None = None
-    declared_words: int | None = None
-    header_pending = fmt != "glove-text"
+    words: list[str] = []
+    header: list[int] = []
+    texts: list[str] | None = None if value_text is None else []
+    try:
+        # One numeric pass: loadtxt's C tokenizer converts every record's
+        # values and checks that each row has as many as the first.
+        with path.open("r", encoding="utf-8") as fh:
+            records = _value_lines(fh, fmt, words, header, texts)
+            first = next(records, None)
+            data = None if first is None else np.loadtxt(chain((first,), records), dtype=float, ndmin=2, comments=None)
+        if header and data is not None and data.shape[1] != header[1]:
+            raise FormatError(f"{path}: records disagree with the header's width")
+    except ValueError:
+        error = _line_error(path, fmt)
+        if error is None:
+            raise
+        raise error from None
+    if data is None:
+        raise FormatError(f"{path}: empty embedding file")
 
+    index: dict[str, int] = {}
+    for i, word in enumerate(words):
+        index.setdefault(word, i)
+    duplicates = len(words) - len(index)
+    if duplicates:
+        logger.warning("%s: skipped %d duplicate words (first occurrence kept)", path, duplicates)
+        kept = list(index.values())
+        words, data = list(index), data[kept]
+        if texts is not None:
+            texts = [texts[i] for i in kept]
+    if header and header[0] != len(words) + duplicates:
+        logger.warning("%s: header declares %d words, file contains %d", path, header[0], len(words) + duplicates)
+    if not np.isfinite(data).all():
+        word, value = _first_non_finite(words, data.T)
+        raise FormatError(f"{path}: non-finite value {value!r} for word {word!r}")
+    matrix = EmbeddingMatrix(vocab=words, data=data.T, name=path.stem)
+    if value_text is not None:
+        # Each text is matrix.dim values without leading whitespace, and a
+        # newline can only end it.  If the texts are ASCII and their other
+        # whitespace is dim - 1 spaces each, every one is single-spaced.
+        joined = "".join(texts)
+        single_spaced = (
+            joined.isascii()
+            and joined.count(" ") == len(texts) * (matrix.dim - 1)
+            and not any(c in joined for c in "\t\v\f\x1c\x1d\x1e\x1f")
+        )
+        value_text.extend(map(str.rstrip, texts) if single_spaced else map(" ".join, map(str.split, texts)))
+    return matrix
+
+
+def _value_lines(fh, fmt: str, words: list[str], header: list[int], texts: list[str] | None):
+    """Yield the value text of each record in ``fh``, appending its word to
+    ``words`` (and the text to ``texts``); a word2vec header's ``n, d`` go
+    to ``header``.  A refused header or a word without values raises
+    ``ValueError``, and ``_line_error`` says why."""
+    header_pending = fmt != "glove-text"
+    for line in fh:
+        parts = line.split(None, 1)
+        if not parts:
+            continue
+        if header_pending:
+            header_pending = False
+            tokens = line.split()
+            if fmt == "word2vec-text" or _looks_like_header(tokens):
+                if not _looks_like_header(tokens) or int(tokens[1]) < 1:
+                    raise ValueError("refused header")
+                header.extend(map(int, tokens))
+                continue
+        word, rest = parts  # a word without values fails to unpack
+        words.append(word)
+        if texts is not None:
+            texts.append(rest)
+        yield rest
+
+
+def _line_error(path: Path, fmt: str) -> FormatError | None:
+    """The :class:`FormatError` for the first refused line of ``path``, found
+    by reading it one line at a time; ``loadtxt`` on that line, and then on
+    each of its tokens, decides which value is not a number."""
+    header_pending = fmt != "glove-text"
+    dim: int | None = None
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
                 continue
+            where = f"{path}: line {lineno}"
             if header_pending:
                 header_pending = False
                 if fmt == "word2vec-text" or _looks_like_header(parts):
                     if not _looks_like_header(parts):
-                        raise FormatError(f"{path}: line {lineno}: expected word2vec header 'n d', got {line.strip()!r}")
-                    declared_words, dim = int(parts[0]), int(parts[1])
+                        return FormatError(f"{where}: expected word2vec header 'n d', got {line.strip()!r}")
+                    dim = int(parts[1])
                     if dim < 1:
-                        raise FormatError(f"{path}: line {lineno}: header declares dimension {dim}")
+                        return FormatError(f"{where}: header declares dimension {dim}")
                     continue
-            word, values = parts[0], parts[1:]
+            values = parts[1:]
             if dim is None:
                 dim = len(values)
                 if dim == 0:
-                    raise FormatError(f"{path}: line {lineno}: no vector values")
+                    return FormatError(f"{where}: no vector values")
             if len(values) != dim:
-                raise FormatError(f"{path}: line {lineno}: expected {dim} values, got {len(values)}")
-            try:
-                vec = np.array(values, dtype=float)
-            except ValueError:
-                bad = next(t for t in values if not _parses_as_float(t))
-                raise FormatError(f"{path}: line {lineno}: non-numeric value {bad!r}") from None
-            if word in seen:
-                duplicates += 1
-                continue
-            seen.add(word)
-            vocab.append(word)
-            rows.append(vec)
-            if value_text is not None:
-                value_text.append(" ".join(values))
-
-    if not vocab:
-        raise FormatError(f"{path}: empty embedding file")
-    if duplicates:
-        logger.warning("%s: skipped %d duplicate words (first occurrence kept)", path, duplicates)
-    if declared_words is not None and declared_words != len(vocab) + duplicates:
-        logger.warning("%s: header declares %d words, file contains %d", path, declared_words, len(vocab) + duplicates)
-    data = np.vstack(rows).T
-    if not np.isfinite(data).all():
-        word, value = _first_non_finite(vocab, data)
-        raise FormatError(f"{path}: non-finite value {value!r} for word {word!r}")
-    return EmbeddingMatrix(vocab=vocab, data=data, name=path.stem)
+                return FormatError(f"{where}: expected {dim} values, got {len(values)}")
+            if not _is_numeric(" ".join(values)):
+                bad = next(t for t in values if not _is_numeric(t))
+                return FormatError(f"{where}: non-numeric value {bad!r}")
+    return None
 
 
-def _parses_as_float(token: str) -> bool:
+def _is_numeric(text: str) -> bool:
+    """Whether ``loadtxt`` reads ``text`` as a row of numbers."""
     try:
-        float(token)
+        np.loadtxt([text], dtype=float, comments=None)
     except ValueError:
         return False
     return True

@@ -642,6 +642,13 @@ class TestCompose:
             if fmt == "word2vec-text":
                 assert spliced.read_text().splitlines()[0] == f"40 {composed.dim}"
 
+    def test_corrupted_factor_token_exits_2_naming_file_and_line(self, model_dir, tmp_path, capsys):
+        _set_value(model_dir / "ind_1.txt", 5, "0.1x")
+        out = tmp_path / "composed"
+        assert main(["compose", "--model", str(model_dir), "--out-dir", str(out)]) == 2
+        assert f"{model_dir / 'ind_1.txt'}: line 6: non-numeric value '0.1x'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rank_0_parts(self, input_files, tmp_path, capsys):
         model_dir, out = tmp_path / "model", tmp_path / "composed"
         assert run_decompose(input_files, model_dir, ["--individual-ranks", "1,0"]) == 0
@@ -692,6 +699,23 @@ class TestEval:
         assert main(argv) == 0
         capsys.readouterr()
         assert len((out / "results.jsonl").read_text().strip().splitlines()) == 2
+
+    def test_bad_input_exits_2_before_results(self, tmp_path, capsys):
+        corpus, embedding = separable_corpus(seed=25)
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        write_embedding(embedding, good)
+        write_embedding(embedding, bad)
+        _set_value(bad, 2, "1_0")
+        corpus_path = tmp_path / "corpus.tsv"
+        write_corpus_tsv(corpus, corpus_path)
+        out = tmp_path / "eval"
+        argv = ["eval", "--input", str(good), "--input", str(bad), "--train", str(corpus_path),
+                "--test", str(corpus_path), "--out-dir", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{bad}: line 3: non-numeric value '1_0'" in captured.err
+        assert captured.out == ""
+        assert not (out / "results.jsonl").exists()
 
     def test_embeddings_evaluated_together_match_alone(self, tmp_path, capsys):
         train, test, clean, noisy = clean_noisy_pair(5)

@@ -62,7 +62,10 @@ class TestParse:
         with pytest.raises(FormatError, match="empty"):
             parse_embedding(_write(tmp_path, ""), "glove-text")
 
-    @pytest.mark.parametrize("token, shown", [("nan", "nan"), ("-Infinity", "-inf"), ("1e999", "inf")])
+    @pytest.mark.parametrize(
+        "token, shown",
+        [("nan", "nan"), ("-Infinity", "-inf"), ("1e999", "inf"), ("1e400", "inf"), ("NaN", "nan"), ("+INFINITY", "inf")],
+    )
     def test_non_finite_value_names_file_and_word(self, tmp_path, token, shown):
         path = _write(tmp_path, f"a 1.0 2.0\nb 3.0 {token}\n")
         with pytest.raises(FormatError, match=rf"non-finite value {shown} for word 'b'") as info:
@@ -89,6 +92,75 @@ class TestParse:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_embedding(tmp_path / "nope.txt")
+
+    # The value syntax is numpy.loadtxt's (with comments=None).  Python's float
+    # reads these forms the same way.
+    @pytest.mark.parametrize(
+        "token, value",
+        [("+1e5", 1e5), (".5", 0.5), ("5.", 5.0), ("-0", -0.0), ("1E-3", 1e-3), ("4.9e-325", 0.0)],
+    )
+    def test_accepted_value_syntax(self, tmp_path, token, value):
+        m = parse_embedding(_write(tmp_path, f"a 1 {token}\n"), "glove-text")
+        assert m.data[1, 0] == value and np.signbit(m.data[1, 0]) == np.signbit(value)
+
+    # Refused by float and loadtxt alike ('1.5#' only because comments are
+    # off), then the forms that float reads but loadtxt does not: digit
+    # grouping, Arabic-Indic and fullwidth digits.
+    @pytest.mark.parametrize("token", ["1e", "0x10", "1,5", "1.5#", "1_0", "١٢", "１２"])
+    def test_refused_value_syntax_names_file_line_and_token(self, tmp_path, token):
+        path = _write(tmp_path, f"2 2\n\na 1 2\nb 3 {token}\n")
+        with pytest.raises(FormatError) as info:
+            parse_embedding(path, "auto")
+        assert str(info.value) == f"{path}: line 4: non-numeric value {token!r}"
+
+
+class TestParseDiagnostics:
+    """Every refused line raises the message the line-by-line reading gives,
+    naming the file and the physical line."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a 1 2\nb\nc 3 4\n", "line 2: expected 2 values, got 0"),
+            ("\na\nb 1 2\n", "line 2: no vector values"),
+            ("3 2\n\n  \na 1 2\nb 3\nc 4 5\n", "line 5: expected 2 values, got 1"),
+            ("2 3\na 1 2\nb 3 4\n", "line 2: expected 3 values, got 2"),
+            ("2 0\na 1\n", "line 1: header declares dimension 0"),
+            ("a 1 2\nb 3 4\na 5 x\n", "line 3: non-numeric value 'x'"),
+            ("a 1 2\nb 3 4 5\nc 6 y\n", "line 2: expected 2 values, got 3"),
+            ("a 1 z\nb 3 4 5\n", "line 1: non-numeric value 'z'"),
+        ],
+        ids=["word-only", "word-only-first", "ragged-after-header-and-blank", "header-width", "header-dim-0",
+             "bad-duplicate", "ragged-before-bad-token", "bad-token-before-ragged"],
+    )
+    def test_first_refused_line(self, tmp_path, text, message):
+        path = _write(tmp_path, text)
+        with pytest.raises(FormatError) as info:
+            parse_embedding(path, "auto")
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_word2vec_format_needs_its_header(self, tmp_path):
+        path = _write(tmp_path, "\na 1 2\n")
+        with pytest.raises(FormatError) as info:
+            parse_embedding(path, "word2vec-text")
+        assert str(info.value) == f"{path}: line 2: expected word2vec header 'n d', got 'a 1 2'"
+
+    def test_header_only_is_empty(self, tmp_path):
+        with pytest.raises(FormatError, match="empty embedding file"):
+            parse_embedding(_write(tmp_path, "0 3\n\n"), "auto")
+
+    @pytest.mark.parametrize("text", ["a 1 2\nb 3 x\n", "a 1 2\nb 3\n", "a 1 2\nb 3 nan\n"])
+    def test_refusal_leaves_value_text_unchanged(self, tmp_path, text):
+        value_text = ["kept"]
+        with pytest.raises(FormatError):
+            parse_embedding(_write(tmp_path, text), "glove-text", value_text=value_text)
+        assert value_text == ["kept"]
+
+    def test_value_text_is_single_spaced(self, tmp_path):
+        text = "a 1 2\nb 3  4 \r\nc\t5\t\t6\x0c\n"
+        value_text = []
+        parse_embedding(_write(tmp_path, text), "glove-text", value_text=value_text)
+        assert value_text == ["1 2", "3 4", "5 6"]
 
 
 class TestMatrixInvariants:
@@ -236,3 +308,119 @@ def test_parse_write_round_trip_property(tmp_path_factory, words, dim, seed, fmt
     back = parse_embedding(path, fmt)
     assert back.vocab == m.vocab
     np.testing.assert_array_equal(back.data, m.data)
+
+
+def reference_parse(path, fmt, value_text):
+    """A file read one line at a time, each record's values converted by one
+    ``np.array(values, dtype=float)``: the reference ``parse_embedding`` must
+    agree with.  It reads Python's float syntax, so inputs given to both must
+    avoid the forms only float accepts."""
+    vocab, rows, seen = [], [], set()
+    dim = None
+    header_pending = fmt != "glove-text"
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            if header_pending:
+                header_pending = False
+                if fmt == "word2vec-text" or (len(parts) == 2 and all(t.isdecimal() for t in parts)):
+                    if not (len(parts) == 2 and all(t.isdecimal() for t in parts)):
+                        raise FormatError(f"{path}: line {lineno}: expected word2vec header 'n d', got {line.strip()!r}")
+                    dim = int(parts[1])
+                    if dim < 1:
+                        raise FormatError(f"{path}: line {lineno}: header declares dimension {dim}")
+                    continue
+            word, values = parts[0], parts[1:]
+            if dim is None:
+                dim = len(values)
+                if dim == 0:
+                    raise FormatError(f"{path}: line {lineno}: no vector values")
+            if len(values) != dim:
+                raise FormatError(f"{path}: line {lineno}: expected {dim} values, got {len(values)}")
+            try:
+                vec = np.array(values, dtype=float)
+            except ValueError:
+                bad = next(t for t in values if not _parses_as_float(t))
+                raise FormatError(f"{path}: line {lineno}: non-numeric value {bad!r}") from None
+            if word in seen:
+                continue
+            seen.add(word)
+            vocab.append(word)
+            rows.append(vec)
+            value_text.append(" ".join(values))
+    if not vocab:
+        raise FormatError(f"{path}: empty embedding file")
+    data = np.vstack(rows).T
+    if not np.isfinite(data).all():
+        j, i = np.argwhere(~np.isfinite(data.T))[0]
+        raise FormatError(f"{path}: non-finite value {float(data[i, j])!r} for word {vocab[j]!r}")
+    return vocab, data
+
+
+def _parses_as_float(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.decimals(allow_nan=False, allow_infinity=False, places=6).map(str),
+    st.sampled_from(["+1e5", ".5", "5.", "-0", "1E-3", "0.000001", "nan", "-Infinity", "1e400", "4.9e-325"]),
+)
+_bad_values = st.sampled_from(["x", "1e", "0x10", "1,5", "1.5#", "--1", "1.5f"])
+_gaps = st.sampled_from([" ", "  ", "\t", " \t ", "\x0c", "　"])
+_ends = st.sampled_from(["\n", "\r\n", " \n", "\t\r\n"])
+
+
+@st.composite
+def embedding_files(draw):
+    """The text of an embedding file, its format and the format to read it as."""
+    dim = draw(st.integers(1, 4))
+    words = draw(st.lists(st.text(alphabet="ab1_é", min_size=1, max_size=3), min_size=1, max_size=8))
+    lines = []
+    for word in words:
+        values = draw(st.lists(_values, min_size=dim, max_size=dim))
+        if draw(st.integers(0, 19)) == 0:  # a refused record now and then
+            broken = draw(st.integers(0, 2))
+            if broken == 0:
+                values[draw(st.integers(0, dim - 1))] = draw(_bad_values)
+            else:
+                values = values[: draw(st.integers(0, dim - 1))] if broken == 1 else values + ["1"]
+        gaps = draw(st.lists(_gaps, min_size=len(values), max_size=len(values)))
+        lead = draw(st.sampled_from(["", "", " ", "\t"]))
+        lines.append(lead + word + "".join(gap + value for gap, value in zip(gaps, values)) + draw(_ends))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["\n", "\r\n", " \t\n"])))
+    header = draw(st.booleans())
+    if header:
+        lines.insert(0, f"{draw(st.sampled_from([len(words), len(words) + 1]))} {dim}\n")
+    read_as = draw(st.sampled_from(["auto", "word2vec-text" if header else "glove-text"]))
+    return "".join(lines), read_as
+
+
+@settings(deadline=None, max_examples=300)
+@given(file=embedding_files())
+def test_parse_matches_line_by_line_reference(tmp_path_factory, file):
+    text, fmt = file
+    path = tmp_path_factory.mktemp("io") / "emb.txt"
+    path.write_bytes(text.encode("utf-8"))
+    expected_text, value_text = [], []
+    try:
+        vocab, data = reference_parse(path, fmt, expected_text)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as info:
+            parse_embedding(path, fmt, value_text=value_text)
+        assert str(info.value) == str(exc)
+        assert value_text == []
+        return
+    m = parse_embedding(path, fmt, value_text=value_text)
+    assert m.vocab == vocab
+    assert m.data.dtype == data.dtype and m.data.shape == data.shape and m.data.strides == data.strides
+    assert m.data.tobytes() == data.tobytes()
+    assert value_text == expected_text
