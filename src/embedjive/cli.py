@@ -22,7 +22,8 @@ import numpy as np
 
 import embedjive
 from embedjive.compose import parse_composition, selected_parts, standard_compositions
-from embedjive.embed_io import EmbeddingMatrix, align_vocabularies, parse_embedding, preprocess, write_embedding
+from embedjive.embed_io import (FORMATS, EmbeddingMatrix, align_vocabularies, parse_embedding, preprocess,
+                                write_embedding)
 from embedjive.evaluate import evaluate, read_corpus_tsv, train_linear
 from embedjive.jive import BlockStack, JiveConfig, jive_fit, report_tsv, variance_explained
 from embedjive.linalg import NumericError
@@ -84,7 +85,7 @@ def _sha256(path: Path) -> str:
 def _parse_input_spec(spec: str) -> tuple[Path, str]:
     if ":" in spec:
         head, tail = spec.rsplit(":", 1)
-        if tail in ("glove-text", "word2vec-text", "auto"):
+        if tail in ("auto", *FORMATS):
             return Path(head), tail
     return Path(spec), "auto"
 
@@ -122,15 +123,16 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[dict
     (out_dir / MANIFEST_FILE).write_text(_json_text(manifest), encoding="utf-8")
 
 
-def _out_dir(args) -> Path:
-    """``--out-dir``, checked before anything is written.  Only ``decompose``
-    writes into a model directory (one holding ``model.json``), whose files
-    ``compose`` and ``report`` read, and no command writes into a directory
-    whose ``manifest.json`` records another command."""
-    out_dir = Path(args.out_dir)
+def _out_dir(args, out: str | None = None) -> Path:
+    """The directory the command writes into, ``--out-dir`` or that of
+    ``report``'s ``--out`` file, checked before anything is written.  Only
+    ``decompose`` writes into a model directory (one holding ``model.json``),
+    whose files ``compose`` and ``report`` read, and no command writes into a
+    directory whose ``manifest.json`` records another command."""
+    out_dir = Path(args.out_dir) if out is None else Path(out).parent
+    named = f"--out-dir {out_dir} is a" if out is None else f"--out {out} is in the"
     if args.command != "decompose" and (out_dir / MODEL_FILE).exists():
-        raise ValueError(f"--out-dir {out_dir} is a model directory (it holds {MODEL_FILE});"
-                         f" {args.command} would overwrite its files")
+        raise ValueError(f"{named} model directory (it holds {MODEL_FILE}); {args.command} would overwrite its files")
     manifest = out_dir / MANIFEST_FILE
     if manifest.exists():
         try:
@@ -138,8 +140,8 @@ def _out_dir(args) -> Path:
         except (ValueError, AttributeError):
             command = None
         if command != args.command:
-            raise ValueError(f"--out-dir {out_dir} holds a {MANIFEST_FILE} written by {command!r},"
-                             f" not {args.command}; {args.command} would overwrite it")
+            raise ValueError(f"{named} directory that holds a {MANIFEST_FILE} written by {command!r},"
+                             f" not {args.command}; {args.command} would overwrite its files")
     return out_dir
 
 
@@ -177,16 +179,10 @@ def _resolve_ranks(args, stack: BlockStack) -> tuple[int, list[int], dict | None
     """Pinned ranks as given; an auto individual rank is the block's signal
     rank minus the joint rank.  Either way the joint plus a block's
     individual rank may not exceed the block's numerical rank."""
-    signal_ranks = _signal_ranks(stack, args.energy) if "auto" in (args.joint_rank, args.individual_ranks) else None
+    signal_ranks = _signal_ranks(args, stack) if "auto" in (args.joint_rank, args.individual_ranks) else None
     decision = None
     if args.joint_rank == "auto":
-        decision = select_joint_rank(
-            stack,
-            signal_ranks,
-            resamples=args.resamples,
-            quantile=args.quantile,
-            seed=args.seed,
-        )
+        decision = _joint_decision(args, stack, signal_ranks)
         joint_rank = decision["joint_rank"]
     else:
         try:
@@ -206,28 +202,34 @@ def _resolve_ranks(args, stack: BlockStack) -> tuple[int, list[int], dict | None
     return joint_rank, individual_ranks, decision
 
 
-def _signal_ranks(stack: BlockStack, energy: float) -> list[int]:
-    return [estimate_signal_rank(svd.S, energy=energy) for svd in stack.svds]
+def _signal_ranks(args, stack: BlockStack) -> list[int]:
+    """``ranks --signal-ranks`` as given, else each block's energy rule."""
+    if getattr(args, "signal_ranks", "auto") != "auto":
+        return _rank_list(args.signal_ranks, len(stack), "--signal-ranks")
+    return [estimate_signal_rank(svd.S, energy=args.energy) for svd in stack.svds]
+
+
+def _rank_settings(args) -> dict:
+    """The rank-selection settings, as the ``ranks`` and ``decompose``
+    manifests echo them."""
+    return {key: getattr(args, key) for key in ("energy", "resamples", "quantile", "seed")}
+
+
+def _joint_decision(args, stack: BlockStack, signal_ranks: list[int]) -> dict:
+    """The joint-rank decision of ``ranks`` and of ``decompose --joint-rank auto``."""
+    return select_joint_rank(stack, signal_ranks, resamples=args.resamples, quantile=args.quantile, seed=args.seed)
 
 
 def _invariant_violations(record: dict) -> list[str]:
-    invariants, problems = record["invariants"], []
-    if invariants["max_residual_increase"] > RESIDUAL_INCREASE_TOL:
-        problems.append(
-            f"residual rose by {invariants['max_residual_increase']:.3e} of the total energy"
-            f" (limit {RESIDUAL_INCREASE_TOL:g})"
-        )
-    if invariants["orthogonality_deviation"] > ORTHOGONALITY_TOL:
-        problems.append(
-            f"joint/individual orthogonality deviation {invariants['orthogonality_deviation']:.3e}"
-            f" (limit {ORTHOGONALITY_TOL:g})"
-        )
-    if invariants["energy_split_deviation"] > ORTHOGONALITY_TOL:
-        problems.append(
-            f"joint + individual + residual energy deviation {invariants['energy_split_deviation']:.3e}"
-            f" of the block energy (limit {ORTHOGONALITY_TOL:g})"
-        )
-    return problems
+    invariants = record["invariants"]
+    checks = [
+        ("max_residual_increase", RESIDUAL_INCREASE_TOL, "residual rose by {:.3e} of the total energy"),
+        ("orthogonality_deviation", ORTHOGONALITY_TOL, "joint/individual orthogonality deviation {:.3e}"),
+        ("energy_split_deviation", ORTHOGONALITY_TOL,
+         "joint + individual + residual energy deviation {:.3e} of the block energy"),
+    ]
+    return [f"{wording.format(invariants[key])} (limit {limit:g})"
+            for key, limit, wording in checks if invariants[key] > limit]
 
 
 def cmd_decompose(args) -> int:
@@ -266,15 +268,11 @@ def _write_model(out_dir: Path, args, inputs: list[dict], stack: BlockStack, res
     it back), ``fit_log.txt``, ``model.json`` (the record itself) and the
     manifest.  Returns the record."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-
-    def factor_file(name: str, scores: np.ndarray) -> str | None:
-        if not scores.shape[0]:
-            return None
-        write_embedding(EmbeddingMatrix(vocab=stack.vocab, data=scores, name=name), out_dir / f"{name}.txt")
-        outputs.append(f"{name}.txt")
-        return f"{name}.txt"
-
+    files = _factor_files([result.joint_rank, *result.individual_ranks])
+    for name, scores in zip(files, [result.joint_basis, *result.individual_scores]):
+        if name is not None:
+            write_embedding(EmbeddingMatrix(vocab=stack.vocab, data=scores, name=name), out_dir / name)
+    outputs = [name for name in files if name is not None]
     config = result.config
     record = {
         "block_names": result.block_names,
@@ -287,8 +285,8 @@ def _write_model(out_dir: Path, args, inputs: list[dict], stack: BlockStack, res
         "n_dropped": n_dropped,
         "joint_rank": result.joint_rank,
         "individual_ranks": result.individual_ranks,
-        "joint_file": factor_file("joint", result.joint_basis),
-        "individual_files": [factor_file(f"ind_{i}", h) for i, h in enumerate(result.individual_scores)],
+        "joint_file": files[0],
+        "individual_files": files[1:],
         "epsilon": config.epsilon,
         "max_iter": config.max_iter,
         "seed": args.seed,
@@ -317,10 +315,16 @@ def _write_model(out_dir: Path, args, inputs: list[dict], stack: BlockStack, res
     (out_dir / MODEL_FILE).write_text(_json_text(record), encoding="utf-8")
     outputs += [REPORT_FILE, "fit_log.txt", MODEL_FILE]
 
-    config_echo = {k: record[k] for k in CONFIG_KEYS}
-    config_echo.update(energy=args.energy, resamples=args.resamples, quantile=args.quantile)
+    config_echo = {k: record[k] for k in CONFIG_KEYS} | _rank_settings(args)
     _write_manifest(out_dir, "decompose", config_echo, inputs, outputs)
     return record
+
+
+def _factor_files(ranks: list[int]) -> list[str | None]:
+    """Each part's factor-file name, joint part first: ``joint.txt``, then
+    ``ind_<i>.txt`` for block i's individual part; ``None`` at rank 0."""
+    parts = ["joint", *(f"ind_{i}" for i in range(len(ranks) - 1))]
+    return [f"{part}.txt" if rank else None for part, rank in zip(parts, ranks)]
 
 
 def _report(record: dict) -> dict:
@@ -338,29 +342,13 @@ def _json_text(value) -> str:
 def cmd_ranks(args) -> int:
     out_dir = None if args.out_dir is None else _out_dir(args)
     stack, input_records, _ = _input_stack(args)
-    if args.signal_ranks == "auto":
-        signal_ranks = _signal_ranks(stack, args.energy)
-    else:
-        signal_ranks = _rank_list(args.signal_ranks, len(stack), "--signal-ranks")
-    decision = select_joint_rank(
-        stack,
-        signal_ranks,
-        resamples=args.resamples,
-        quantile=args.quantile,
-        seed=args.seed,
-    )
-    text = _json_text(decision | {"block_names": stack.names})
+    signal_ranks = _signal_ranks(args, stack)
+    text = _json_text(_joint_decision(args, stack, signal_ranks) | {"block_names": stack.names})
     print(text, end="")
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "ranks.json").write_text(text, encoding="utf-8")
-        config_echo = {
-            "signal_ranks": signal_ranks,
-            "energy": args.energy,
-            "resamples": args.resamples,
-            "quantile": args.quantile,
-            "seed": args.seed,
-        }
+        config_echo = {"signal_ranks": signal_ranks} | _rank_settings(args)
         _write_manifest(out_dir, "ranks", config_echo, input_records, ["ranks.json"])
     return EXIT_OK
 
@@ -418,16 +406,19 @@ def _read_model(model_dir: Path) -> _Model:
     and each factor file, checked to hold the recorded rank of finite
     numbers over the recorded words, with one vocabulary."""
     record = _read_record(model_dir / MODEL_FILE)
-    parts = [(record["joint_file"], record["joint_rank"]), *zip(record["individual_files"], record["individual_ranks"])]
+    ranks = [record["joint_rank"], *record["individual_ranks"]]
+    files = _factor_files(ranks)
+    for key, expected in [("joint_file", files[0]), ("individual_files", files[1:])]:
+        if record[key] != expected:
+            raise ValueError(f"{model_dir / MODEL_FILE}: {key!r} must be {json.dumps(expected)}"
+                             " (the joint.txt and ind_<i>.txt of the recorded ranks, null at rank 0)")
     vocab, value_text = None, []
-    for name, rank in parts:
+    for name, rank in zip(files, ranks):
         if name is None:
-            if rank:
-                raise ValueError(f"{model_dir / MODEL_FILE} records rank {rank} for a part without a factor file")
             value_text.append(None)
             continue
         text: list[str] = []
-        matrix = parse_embedding(model_dir / name, "glove-text", value_text=text)
+        matrix = parse_embedding(model_dir / name, FORMATS[0], value_text=text)
         if (matrix.dim, matrix.n_words) != (rank, record["n_words"]):
             raise ValueError(
                 f"factor file {model_dir / name} holds rank {matrix.dim} over {matrix.n_words} words;"
@@ -440,7 +431,7 @@ def _read_model(model_dir: Path) -> _Model:
         value_text.append(text)
     if vocab is None:
         raise ValueError(f"model in {model_dir} has no stored factors")
-    return _Model(record, vocab, [rank for _, rank in parts], value_text)
+    return _Model(record, vocab, ranks, value_text)
 
 
 def cmd_compose(args) -> int:
@@ -464,7 +455,7 @@ def cmd_compose(args) -> int:
         dim = sum(model.ranks[i] for i in selected)
         name = f"{spec.name}.txt"
         with (out_dir / name).open("w", encoding="utf-8") as fh:
-            if args.format == "word2vec-text":
+            if args.format == FORMATS[1]:  # word2vec-text: an "n d" header line
                 fh.write(f"{len(model.vocab)} {dim}\n")
             for line in zip(model.vocab, *(model.value_text[i] for i in selected)):
                 fh.write(" ".join(line) + "\n")
@@ -499,10 +490,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    model_dir = Path(args.model)
-    if args.out is not None and Path(args.out).resolve().parent == model_dir.resolve():
-        raise ValueError(f"--out {args.out} is in the model directory; report would overwrite the model's files")
-    report = _report(_read_model(model_dir).record)
+    if args.out is not None:
+        _out_dir(args, args.out)
+    report = _report(_read_model(Path(args.model)).record)
     text = report_tsv(report) if args.format == "tsv" else _json_text(report)
     if args.out is None:
         print(text, end="")
@@ -517,7 +507,7 @@ def _add_input_flag(parser: argparse.ArgumentParser) -> None:
         action="append",
         default=[],
         metavar="PATH[:FORMAT]",
-        help="embedding file, optionally suffixed with :glove-text, :word2vec-text or :auto (repeatable)",
+        help=f"embedding file, optionally suffixed with :FORMAT, one of {', '.join(('auto', *FORMATS))} (repeatable)",
     )
 
 
@@ -555,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compose", allow_abbrev=False, help="stack fitted factors into new embedding files")
     p.add_argument("--model", required=True, help="directory written by decompose")
     p.add_argument("--compositions", default="all", help="comma-separated specs like joint+ind0, or 'all'")
-    p.add_argument("--format", choices=("glove-text", "word2vec-text"), default="glove-text")
+    p.add_argument("--format", choices=FORMATS, default=FORMATS[0])
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_compose)
 

@@ -381,6 +381,25 @@ class TestRunContract:
             run_decompose(input_files, tmp_path / "unchecked", ["--no-orthogonality"])
         assert exc.value.code == 2
 
+    def test_invariant_messages_in_full(self, input_files, tmp_path, capsys, tampered_fit):
+        def tamper(result):
+            result.residual_history.append(result.residual_history[-1] + 1e-6)
+            result.step_history.append("plain")
+            result.orthogonality_deviation = 1e-6
+            result.residual_sq[1] += 1e-6 * result.block_sq_norms[1]
+
+        tampered_fit(tamper)
+        out = tmp_path / "out"
+        assert run_decompose(input_files, out) == 3
+        invariants = json.loads((out / "model.json").read_text())["invariants"]
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: fit invariants violated:"
+            f" residual rose by {invariants['max_residual_increase']:.3e} of the total energy (limit 1e-10);"
+            " joint/individual orthogonality deviation 1.000e-06 (limit 1e-08);"
+            f" joint + individual + residual energy deviation {invariants['energy_split_deviation']:.3e}"
+            " of the block energy (limit 1e-08)"
+        )
+
 
 class TestRanks:
     def test_duplicated_input_selects_signal_rank(self, input_files, capsys):
@@ -470,6 +489,22 @@ class TestOneRankPath:
         assert ranks == model["rank_decision"]
         assert (ranks["resamples"], ranks["quantile"], ranks["seed"]) == (30, 0.9, 5)
 
+    def test_manifests_echo_the_rank_settings(self, input_files, tmp_path, capsys):
+        flags = ["--input", input_files[0], "--input", input_files[1], "--seed", "5",
+                 "--energy", "0.9", "--resamples", "30", "--quantile", "0.9"]
+        assert main(["ranks", *flags, "--signal-ranks", "3,3", "--out-dir", str(tmp_path / "ranks")]) == 0
+        assert main(["decompose", *flags, "--out-dir", str(tmp_path / "model")]) == 0
+        assert run_decompose(input_files, tmp_path / "pinned") == 0
+        capsys.readouterr()
+        settings = {"energy": 0.9, "resamples": 30, "quantile": 0.9, "seed": 5}
+        ranks = json.loads((tmp_path / "ranks" / "manifest.json").read_text())["config"]
+        assert ranks == {"signal_ranks": [3, 3], **settings}
+        model = json.loads((tmp_path / "model" / "manifest.json").read_text())["config"]
+        assert {key: model[key] for key in settings} == settings
+        pinned = json.loads((tmp_path / "pinned" / "manifest.json").read_text())["config"]
+        assert {key: pinned[key] for key in settings} == {"energy": 0.95, "resamples": 100, "quantile": 0.95, "seed": 3}
+        assert set(pinned) == {"joint_rank", "individual_ranks", "epsilon", "max_iter", *settings}
+
 
 class TestCompose:
     @pytest.fixture()
@@ -554,6 +589,40 @@ class TestCompose:
             assert main(["report", "--model", str(model_dir), "--format", fmt, "--out", str(tmp_path / "r")]) == 2
             assert named in capsys.readouterr().err
             assert not (tmp_path / "r").exists()
+
+    # model.json names each part's factor file by the part: joint.txt, and
+    # ind_<i>.txt for block i.  The individual cases name files that hold
+    # numbers of the recorded shape, so only the name rule refuses them.
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("individual_files", lambda d: ["../elsewhere/secret.txt", "ind_1.txt"], ["ind_0.txt", "ind_1.txt"]),
+            ("individual_files", lambda d: [str(d.parent / "elsewhere" / "secret.txt"), "ind_1.txt"],
+             ["ind_0.txt", "ind_1.txt"]),
+            ("individual_files", lambda d: ["ind_0.txt", "ind_0.txt"], ["ind_0.txt", "ind_1.txt"]),
+            ("individual_files", lambda d: ["ind_1.txt", "ind_0.txt"], ["ind_0.txt", "ind_1.txt"]),
+            ("joint_file", lambda d: "ind_0.txt", "joint.txt"),
+            ("joint_file", lambda d: None, "joint.txt"),
+        ],
+        ids=["parent-path", "absolute-path", "one-file-for-two-parts", "swapped", "joint-misnamed", "joint-null"],
+    )
+    def test_factor_file_names_follow_the_parts(self, model_dir, tmp_path, capsys, key, value, expected):
+        (tmp_path / "elsewhere").mkdir()
+        (tmp_path / "elsewhere" / "secret.txt").write_bytes((model_dir / "ind_0.txt").read_bytes())
+        _set_key(model_dir, key, value(model_dir))
+        before = {path.name: path.read_bytes() for path in model_dir.iterdir()}
+        named = f"model.json: {key!r} must be {json.dumps(expected)}"
+        out = tmp_path / "x"
+        assert main(["compose", "--model", str(model_dir), "--out-dir", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+        for fmt in ("tsv", "json"):
+            assert main(["report", "--model", str(model_dir), "--format", fmt]) == 2
+            assert named in capsys.readouterr().err
+            assert main(["report", "--model", str(model_dir), "--format", fmt, "--out", str(tmp_path / "r")]) == 2
+            assert named in capsys.readouterr().err
+            assert not (tmp_path / "r").exists()
+        assert {path.name: path.read_bytes() for path in model_dir.iterdir()} == before
 
     # Only decompose writes into a directory holding a model.json.  Each case is
     # a command line that succeeds into a fresh --out-dir, and the spelling of
@@ -785,6 +854,26 @@ class TestReport:
         assert f"--out {out} is in the model directory" in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in model_dir.iterdir()} == before
         assert main(["report", "--model", str(model_dir)]) == 0
+
+    def test_out_may_not_be_in_another_commands_directory(self, input_files, tmp_path, capsys):
+        # --out is held to the --out-dir rule: not into another model, nor
+        # into a directory whose manifest.json another command wrote.
+        model_a, model_b, composed = tmp_path / "a", tmp_path / "b", tmp_path / "composed"
+        assert run_decompose(input_files, model_a) == 0
+        assert run_decompose(input_files, model_b, ["--joint-rank", "1", "--individual-ranks", "1,2"]) == 0
+        assert main(["compose", "--model", str(model_a), "--compositions", "joint", "--out-dir", str(composed)]) == 0
+        capsys.readouterr()
+        for target, named in [
+            (model_b / "model.json", "is in the model directory (it holds model.json)"),
+            (composed / "manifest.json", "is in the directory that holds a manifest.json written by 'compose'"),
+            (composed / "report.tsv", "is in the directory that holds a manifest.json written by 'compose'"),
+        ]:
+            before = {path.name: path.read_bytes() for path in target.parent.iterdir()}
+            for fmt in ("tsv", "json"):
+                assert main(["report", "--model", str(model_a), "--format", fmt, "--out", str(target)]) == 2
+                assert f"--out {target} {named}" in capsys.readouterr().err
+                assert {path.name: path.read_bytes() for path in target.parent.iterdir()} == before
+        assert main(["compose", "--model", str(model_b), "--out-dir", str(tmp_path / "composed_b")]) == 0
 
     def test_report_ignores_report_json(self, input_files, tmp_path, capsys):
         # report derives both formats from model.json; report.json is never read back.

@@ -36,3 +36,20 @@ def test_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# perfbench/traced_cli.py times these functions by wrapping them at the
+# embedjive.cli global that the CLI calls them through; a name the CLI stops
+# calling that way would leave its per-layer metrics at 0.
+TRACED_CLI_NAMES = ["parse_embedding", "write_embedding", "align_vocabularies", "preprocess", "estimate_signal_rank",
+                    "select_joint_rank", "jive_fit", "variance_explained", "read_corpus_tsv", "train_linear",
+                    "evaluate"]
+
+
+def test_cli_calls_the_traced_names_as_globals():
+    import embedjive.cli
+
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    called = {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert [name for name in TRACED_CLI_NAMES if not callable(vars(embedjive.cli).get(name))] == []
+    assert [name for name in TRACED_CLI_NAMES if name not in called] == []
