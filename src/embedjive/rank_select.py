@@ -21,6 +21,10 @@ subspaces", LAA 2006).  The Wedin floor needs only the t x m corner of a Haar
 n x m frame (Feng et al., "Angle-based joint and individual variation
 explained", JMVA 2018), drawn from t Gaussian rows plus the Bartlett factor
 of the remaining n - t.  A draw costs O(T^3) and O(p m^2), not O(n T^2).
+Each draw has its own generator; the samplers stack chunks of draws into
+one LAPACK call per step and, when the work is large enough to pay for it,
+run the chunks on a thread pool of up to one worker per CPU the process may
+run on.  Every value is the same, bit for bit, whatever the CPU count.
 
 Each block's individual rank is its signal rank minus the joint rank, the
 rule of the same AJIVE paper: no second energy rule runs on the leftover
@@ -33,10 +37,26 @@ the count of spectrum values above ``tau_null``, can be read off any decision.
 
 from __future__ import annotations
 
+import functools
+import os
+
 import numpy as np
 
 from embedjive.jive import BlockStack
 from embedjive.linalg import TruncatedSVD
+
+# Draws per stacked LAPACK call.  A chunk's arrays stay in its worker
+# thread's heap: with blocks of 50, 100 and 75 dims and signal ranks 30, 40
+# and 35, two workers on chunks of 10 left `ranks`' peak RSS (set while
+# parsing) unchanged, chunks of 16 came within 0.8 MB of it and chunks of 25
+# raised it by about 3 MB.
+_CHUNK = 10
+# Summed work of a selection's samplers (resamples times a draw's leading
+# LAPACK term: T^3 for the null, (p + t + m) m^2 for a Wedin draw) below
+# which the chunks run inline: there a draw is mostly Python and two threads
+# mostly queue for the GIL.  On 2 vCPUs with one BLAS thread, a pool of two
+# was 1.23x slower than inline at 6e7 and 0.83x at 1.1e8.
+_THREADED_WORK = 1e8
 
 
 def check_settings(energy: float = 0.95, resamples: int = 100, quantile: float = 0.95) -> None:
@@ -85,7 +105,9 @@ def select_joint_rank(
     """Choose the joint rank from the stacked-basis squared singular values,
     thresholded at the larger of the Monte Carlo null quantile and the
     Wedin-type floor.  Deterministic given ``seed``: the random stream is
-    partitioned per draw, so results do not depend on evaluation order.
+    partitioned per draw, so results do not depend on evaluation order.  The
+    draws run as stacked chunks, on up to one thread per CPU the process may
+    run on, and the decision is bit-identical for every CPU count.
 
     ``blocks`` is a :class:`BlockStack`, or a list that is compressed first.
     The spectrum is read off the stack's block SVDs; the samplers and the
@@ -120,15 +142,11 @@ def select_joint_rank(
     spectrum = np.clip(np.linalg.eigvalsh(stacked_bases.T @ stacked_bases)[::-1], 0.0, None)
 
     null_seq, *block_seqs = np.random.SeedSequence(seed).spawn(1 + k_blocks)
-    null_max = _null_spectrum_max(n, t, resamples, null_seq)
-    # Order-statistic ("higher") quantile: the smallest sample at or above the
-    # requested coverage, the conservative convention for a threshold.
-    tau_null = float(np.quantile(null_max, quantile, method="higher"))
-
-    wedin_sin2 = [
-        _wedin_sin_bound(svds[i], t[i], resamples, quantile, block_seqs[i], n) ** 2
-        for i in range(k_blocks)
-    ]
+    wedin = [_wedin_sampler(svds[i], t[i], resamples, block_seqs[i], n) for i in range(k_blocks)]
+    null_max, *wedin_draws = _draw([_null_sampler(n, t, resamples, null_seq), *filter(None, wedin)])
+    tau_null = _quantile(null_max, quantile)
+    wedin_draws = iter(wedin_draws)
+    wedin_sin2 = [0.0 if sampler is None else _quantile(next(wedin_draws), quantile) ** 2 for sampler in wedin]
     tau_wedin = max(0.0, k_blocks - float(sum(wedin_sin2)))
     # A floor of exactly K would reject even numerically perfect agreement.
     tau = min(max(tau_null, tau_wedin), k_blocks * (1.0 - 1e-12))
@@ -166,6 +184,73 @@ def _bartlett(rng: np.random.Generator, rows: int, cols: int, dof: int) -> np.nd
     return r
 
 
+def _quantile(draws: np.ndarray, quantile: float) -> float:
+    # Order-statistic ("higher") quantile: the smallest sample at or above the
+    # requested coverage, the conservative convention for a threshold.
+    return float(np.quantile(draws, quantile, method="higher"))
+
+
+def _sampler(chunk_fn, seq: np.random.SeedSequence, resamples: int, draw_work: int) -> tuple[list, int]:
+    """A sampler's jobs, one per chunk of up to ``_CHUNK`` draws in draw
+    order, each calling ``chunk_fn`` on its draws' ``SeedSequence``
+    children; and its work, ``resamples * draw_work``."""
+    children = seq.spawn(resamples)
+    jobs = [functools.partial(chunk_fn, children[i:i + _CHUNK]) for i in range(0, resamples, _CHUNK)]
+    return jobs, resamples * draw_work
+
+
+def _draw(samplers: list[tuple[list, int]]) -> list[np.ndarray]:
+    """Every sampler's draws, concatenated in draw order.
+
+    The jobs of all samplers go to one thread pool of up to one worker per
+    CPU the process may run on: numpy's LAPACK calls release the GIL, and a
+    job stacks its draws into one call per step, so the workers overlap in
+    LAPACK rather than queue for the GIL.  Below ``_THREADED_WORK`` a draw is
+    mostly Python, and the jobs run inline.  Every draw reads only its own
+    generator, so the result does not depend on the worker count.
+    """
+    jobs = [job for sampler_jobs, _ in samplers for job in sampler_jobs]
+    workers = min(_cpu_count(), len(jobs))
+    if workers > 1 and sum(work for _, work in samplers) >= _THREADED_WORK:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(lambda job: job(), jobs))
+    else:
+        results = [job() for job in jobs]
+    out, start = [], 0
+    for sampler_jobs, _ in samplers:
+        out.append(np.concatenate(results[start:start + len(sampler_jobs)]))
+        start += len(sampler_jobs)
+    return out
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _null_sampler(n: int, ranks: list[int], resamples: int, seq: np.random.SeedSequence) -> tuple[list, int]:
+    return _sampler(functools.partial(_null_chunk, n, ranks), seq, resamples, sum(ranks) ** 3)
+
+
+def _null_chunk(n: int, ranks: list[int], children: list[np.random.SeedSequence]) -> np.ndarray:
+    """The null's draws for one chunk of ``SeedSequence`` children."""
+    total = sum(ranks)
+    r = np.empty((len(children), total, total))
+    for d, child in enumerate(children):
+        r[d] = _bartlett(np.random.default_rng(child), total, total, n)
+    # Each column block's orthonormal basis overwrites the block: qr copies
+    # its input, and one buffer per chunk keeps a worker's heap small.
+    edges = np.cumsum([0, *ranks])
+    for a, b in zip(edges[:-1], edges[1:]):
+        r[:, :, a:b] = np.linalg.qr(r[:, :, a:b])[0]
+    return np.linalg.eigvalsh(np.swapaxes(r, 1, 2) @ r).max(axis=1)
+
+
 def _null_spectrum_max(n: int, ranks: list[int], resamples: int, seq: np.random.SeedSequence) -> np.ndarray:
     """Largest squared singular value of stacks of independent random bases.
 
@@ -173,15 +258,44 @@ def _null_spectrum_max(n: int, ranks: list[int], resamples: int, seq: np.random.
     the orthonormal bases of G's column blocks are Q times those of R's; the
     stacked Gram, and with it the spectrum, is that of the T x T R alone.
     """
-    total = sum(ranks)
-    splits = np.cumsum(ranks)[:-1]
-    out = np.empty(resamples)
-    for d, child in enumerate(seq.spawn(resamples)):
+    return _draw([_null_sampler(n, ranks, resamples, seq)])[0]
+
+
+def _wedin_sampler(
+    svd: TruncatedSVD, t_i: int, resamples: int, seq: np.random.SeedSequence, n: int
+) -> tuple[list, int] | None:
+    """The Wedin bound's draws for one block, or None when the block has no
+    residual above ``1e-12`` of its smallest signal value, so that noise
+    cannot tilt its signal subspace and the bound is 0."""
+    residual_sv = svd.S[t_i:]
+    if residual_sv.size == 0 or float(residual_sv.max()) <= float(svd.S[t_i - 1]) * 1e-12:
+        return None
+    p, m = svd.U.shape[0], residual_sv.size
+    return _sampler(functools.partial(_wedin_chunk, svd, t_i, n), seq, resamples, (p + t_i + m) * m**2)
+
+
+def _wedin_chunk(svd: TruncatedSVD, t_i: int, n: int, children: list[np.random.SeedSequence]) -> np.ndarray:
+    """One block's Wedin draws for one chunk of ``SeedSequence`` children."""
+    p = svd.U.shape[0]
+    residual_sv = svd.S[t_i:]
+    m = residual_sv.size
+    rows = t_i + min(n - t_i, m)
+    u_rand, corner = np.empty((len(children), p, m)), np.empty((len(children), rows, m))
+    for d, child in enumerate(children):
         rng = np.random.default_rng(child)
-        r = _bartlett(rng, total, total, n)
-        stacked = np.hstack([np.linalg.qr(cols)[0] for cols in np.hsplit(r, splits)])
-        out[d] = float(np.linalg.eigvalsh(stacked.T @ stacked).max())
-    return out
+        rng.standard_normal(out=u_rand[d])
+        # E = u_rand diag(residual_sv) v_rand' with v_rand a Haar n x m frame;
+        # operator norms of E V-hat and U-hat' E reduce to small t x m / m x t
+        # products.  V-hat' v_rand is, in law, the top t x m corner of a Haar
+        # frame: the Q factor of a Gaussian whose last n - t rows enter only
+        # through their Gram, a Wishart(n - t) drawn as its Bartlett factor.
+        rng.standard_normal(out=corner[d, :t_i])
+        corner[d, t_i:] = _bartlett(rng, rows - t_i, m, n - t_i)
+    u_rand = np.linalg.qr(u_rand)[0]
+    corner = np.linalg.qr(corner)[0][:, :t_i]
+    right = np.linalg.norm(corner * residual_sv, 2, axis=(1, 2))
+    left = np.linalg.norm((svd.U[:, :t_i].T @ u_rand) * residual_sv, 2, axis=(1, 2))
+    return np.minimum(1.0, np.maximum(right, left) / float(svd.S[t_i - 1]))
 
 
 def _wedin_sin_bound(
@@ -203,28 +317,5 @@ def _wedin_sin_bound(
     n = 60 and 0% at n = 100; dropping it whenever p <= n would lower
     tau_wedin for blocks near n = p.
     """
-    p = svd.U.shape[0]
-    signal_u = svd.U[:, :t_i]
-    residual_sv = svd.S[t_i:]
-    smallest_signal = float(svd.S[t_i - 1])
-    if residual_sv.size == 0:
-        return 0.0
-    if float(residual_sv.max()) <= smallest_signal * 1e-12:
-        return 0.0
-    m = residual_sv.size
-    bounds = np.empty(resamples)
-    for d, child in enumerate(seq.spawn(resamples)):
-        rng = np.random.default_rng(child)
-        u_rand = np.linalg.qr(rng.standard_normal((p, m)))[0]
-        # E = u_rand diag(residual_sv) v_rand' with v_rand a Haar n x m frame;
-        # operator norms of E V-hat and U-hat' E reduce to small t x m / m x t
-        # products.  V-hat' v_rand is, in law, the top t x m corner of a Haar
-        # frame: the Q factor of a Gaussian whose last n - t rows enter only
-        # through their Gram, a Wishart(n - t) drawn as its Bartlett factor.
-        g1 = rng.standard_normal((t_i, m))
-        r2 = _bartlett(rng, min(n - t_i, m), m, n - t_i)
-        corner = np.linalg.qr(np.vstack([g1, r2]))[0][:t_i]
-        right = np.linalg.norm(corner * residual_sv[None, :], 2)
-        left = np.linalg.norm((signal_u.T @ u_rand) * residual_sv[None, :], 2)
-        bounds[d] = min(1.0, max(right, left) / smallest_signal)
-    return float(np.quantile(bounds, quantile, method="higher"))
+    sampler = _wedin_sampler(svd, t_i, resamples, seq, n)
+    return 0.0 if sampler is None else _quantile(_draw([sampler])[0], quantile)

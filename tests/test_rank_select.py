@@ -1,12 +1,15 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from embedjive import rank_select
 from embedjive.jive import BlockStack
 from embedjive.linalg import truncated_svd
 from embedjive.rank_select import (
+    _bartlett,
     _null_spectrum_max,
     _wedin_sin_bound,
     estimate_signal_rank,
@@ -267,6 +270,139 @@ class TestCompressedStack:
         for svd, block in zip(stack.svds, blocks):
             sv = np.linalg.svd(block, compute_uv=False)
             assert estimate_signal_rank(svd.S, energy=0.9) == estimate_signal_rank(sv, energy=0.9)
+
+
+def reference_null_spectrum_max(n, ranks, resamples, seq):
+    """The per-draw null sampler: one Bartlett factor, one QR per column
+    block and one ``eigvalsh`` call per draw."""
+    total = sum(ranks)
+    splits = np.cumsum(ranks)[:-1]
+    out = np.empty(resamples)
+    for d, child in enumerate(seq.spawn(resamples)):
+        rng = np.random.default_rng(child)
+        r = _bartlett(rng, total, total, n)
+        stacked = np.hstack([np.linalg.qr(cols)[0] for cols in np.hsplit(r, splits)])
+        out[d] = float(np.linalg.eigvalsh(stacked.T @ stacked).max())
+    return out
+
+
+def reference_wedin_sin_bound(svd, t_i, resamples, quantile, seq, n):
+    """The per-draw Wedin sampler: two QRs and two 2-norms per draw."""
+    p = svd.U.shape[0]
+    signal_u = svd.U[:, :t_i]
+    residual_sv = svd.S[t_i:]
+    smallest_signal = float(svd.S[t_i - 1])
+    if residual_sv.size == 0:
+        return 0.0
+    if float(residual_sv.max()) <= smallest_signal * 1e-12:
+        return 0.0
+    m = residual_sv.size
+    bounds = np.empty(resamples)
+    for d, child in enumerate(seq.spawn(resamples)):
+        rng = np.random.default_rng(child)
+        u_rand = np.linalg.qr(rng.standard_normal((p, m)))[0]
+        g1 = rng.standard_normal((t_i, m))
+        r2 = _bartlett(rng, min(n - t_i, m), m, n - t_i)
+        corner = np.linalg.qr(np.vstack([g1, r2]))[0][:t_i]
+        right = np.linalg.norm(corner * residual_sv[None, :], 2)
+        left = np.linalg.norm((signal_u.T @ u_rand) * residual_sv[None, :], 2)
+        bounds[d] = min(1.0, max(right, left) / smallest_signal)
+    return float(np.quantile(bounds, quantile, method="higher"))
+
+
+def reference_decision(stack, ranks, resamples, quantile, seed):
+    """``select_joint_rank``'s decision with the per-draw samplers."""
+    k, n, svds = len(stack), stack.n, stack.svds
+    stacked = np.hstack([svd.Vt[:t_i].T for svd, t_i in zip(svds, ranks)])
+    spectrum = np.clip(np.linalg.eigvalsh(stacked.T @ stacked)[::-1], 0.0, None)
+    null_seq, *block_seqs = np.random.SeedSequence(seed).spawn(1 + k)
+    null_max = reference_null_spectrum_max(n, list(ranks), resamples, null_seq)
+    tau_null = float(np.quantile(null_max, quantile, method="higher"))
+    wedin_sin2 = [reference_wedin_sin_bound(svd, t_i, resamples, quantile, seq, n) ** 2
+                  for svd, t_i, seq in zip(svds, ranks, block_seqs)]
+    tau_wedin = max(0.0, k - float(sum(wedin_sin2)))
+    tau = min(max(tau_null, tau_wedin), k * (1.0 - 1e-12))
+    joint_rank = min(int((spectrum > tau).sum()), min(ranks))
+    return {"joint_rank": joint_rank, "signal_ranks": list(ranks), "tau": float(tau), "tau_null": tau_null,
+            "tau_wedin": tau_wedin, "wedin_sin2": wedin_sin2, "spectrum": [float(v) for v in spectrum],
+            "resamples": resamples, "quantile": quantile, "seed": seed,
+            "individual_ranks": select_individual_ranks(ranks, joint_rank)}
+
+
+def _low_rank_block(rng, p, rank, n):
+    return rng.standard_normal((p, rank)) @ rng.standard_normal((rank, n))
+
+
+# (label, blocks from an rng, signal ranks, resamples).  "full" has a block
+# whose signal rank is its rank, "floor" one whose residual lies under the
+# 1e-12 floor: both take the Wedin sampler's early 0.0.
+STACKED_CASES = [
+    ("k2-t10", lambda rng: [rng.standard_normal((12, 300)), rng.standard_normal((12, 300))], (5, 5), 10),
+    ("k3-t10", lambda rng: [rng.standard_normal((p, 300)) for p in (6, 8, 9)], (3, 4, 3), 100),
+    ("k2-t40", lambda rng: [rng.standard_normal((40, 400)), rng.standard_normal((60, 400))], (20, 20), 100),
+    ("k3-t105", lambda rng: [rng.standard_normal((p, 400)) for p in (50, 100, 75)], (30, 40, 35), 37),
+    ("full", lambda rng: [rng.standard_normal((5, 200)), rng.standard_normal((12, 200))], (5, 4), 37),
+    ("floor", lambda rng: [rng.standard_normal((8, 200)), _low_rank_block(rng, 10, 3, 200)], (4, 3), 10),
+]
+
+# How the chunks run: as the machine decides, inline, or on a pool forced
+# past the work threshold with two workers or with more workers than chunks.
+WORKER_MODES = {"auto": None, "inline": (1, np.inf), "two": (2, 0), "many": (64, 0)}
+
+
+class TestStackedDrawsMatchLoops:
+    """The chunked, stacked samplers against the per-draw loops they replace: equal, not close."""
+
+    @pytest.mark.parametrize("mode", list(WORKER_MODES))
+    @pytest.mark.parametrize("label, make, ranks, resamples", STACKED_CASES, ids=[c[0] for c in STACKED_CASES])
+    def test_decision_equals_reference(self, monkeypatch, mode, label, make, ranks, resamples):
+        if WORKER_MODES[mode] is not None:
+            cpus, threshold = WORKER_MODES[mode]
+            monkeypatch.setattr(rank_select, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(rank_select, "_THREADED_WORK", threshold)
+        stack = BlockStack(make(np.random.default_rng(len(label) * 1000 + resamples)))
+        decision = select_joint_rank(stack, ranks, resamples=resamples, quantile=0.9, seed=resamples + 3)
+        assert decision == reference_decision(stack, ranks, resamples, 0.9, resamples + 3)
+        if label in ("full", "floor"):
+            assert decision["wedin_sin2"][0 if label == "full" else 1] == 0.0
+
+    def test_null_sampler_equals_reference(self):
+        sample = _null_spectrum_max(300, [4, 6, 5], 23, np.random.SeedSequence(9))
+        assert np.array_equal(sample, reference_null_spectrum_max(300, [4, 6, 5], 23, np.random.SeedSequence(9)))
+
+
+def _select_small(rng, resamples=20):
+    blocks = [rng.standard_normal((12, 300)), rng.standard_normal((10, 300))]
+    return select_joint_rank(blocks, (5, 5), resamples=resamples, seed=4)
+
+
+class TestWorkerThreads:
+    @pytest.mark.parametrize("threaded", [True, False], ids=["pool", "inline"])
+    def test_no_thread_left_running(self, rng, monkeypatch, threaded):
+        monkeypatch.setattr(rank_select, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(rank_select, "_THREADED_WORK", 0 if threaded else np.inf)
+        on_main_thread = set()
+        plain = rank_select._null_chunk
+
+        def spy(*args):
+            on_main_thread.add(threading.current_thread() is threading.main_thread())
+            return plain(*args)
+
+        monkeypatch.setattr(rank_select, "_null_chunk", spy)
+        before = threading.active_count()
+        _select_small(rng)
+        assert threading.active_count() == before
+        assert on_main_thread == {not threaded}
+
+    def test_worker_error_reaches_the_caller(self, rng, monkeypatch):
+        monkeypatch.setattr(rank_select, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(rank_select, "_THREADED_WORK", 0)
+        plain = rank_select._bartlett
+        monkeypatch.setattr(rank_select, "_bartlett", lambda *args: plain(*args) * np.nan)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError):
+            _select_small(rng)
+        assert threading.active_count() == before
 
 
 class TestSelectIndividualRanks:
