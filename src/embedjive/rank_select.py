@@ -48,8 +48,8 @@ from embedjive.linalg import TruncatedSVD
 # Draws per stacked LAPACK call.  A chunk's arrays stay in its worker
 # thread's heap: with blocks of 50, 100 and 75 dims and signal ranks 30, 40
 # and 35, two workers on chunks of 10 left `ranks`' peak RSS (set while
-# parsing) unchanged, chunks of 16 came within 0.8 MB of it and chunks of 25
-# raised it by about 3 MB.
+# parsing) unchanged, chunks of 16 raised it by about 0.5 MB and chunks of
+# 25 by about 5.5 MB.
 _CHUNK = 10
 # Summed work of a selection's samplers (resamples times a draw's leading
 # LAPACK term: T^3 for the null, (p + t + m) m^2 for a Wedin draw) below
@@ -174,14 +174,17 @@ def select_individual_ranks(signal_ranks, joint_rank: int) -> list[int]:
     return [max(int(t_i) - int(joint_rank), 0) for t_i in signal_ranks]
 
 
-def _bartlett(rng: np.random.Generator, rows: int, cols: int, dof: int) -> np.ndarray:
-    """Upper-trapezoidal ``rows x cols`` R with R'R ~ Wishart(dof, I_cols):
-    the R factor of a ``dof x cols`` Gaussian matrix (Bartlett decomposition),
-    drawn without the ``dof`` rows.  Needs ``dof >= rows``."""
-    r = np.triu(rng.standard_normal((rows, cols)), 1)
+def _bartlett(normals: np.ndarray, chisquares: np.ndarray) -> None:
+    """Turn each ``rows x cols`` matrix of a stack of standard normals, in
+    place, into an upper-trapezoidal R with R'R ~ Wishart(dof, I_cols): the R
+    factor of a ``dof x cols`` Gaussian matrix (Bartlett decomposition),
+    drawn without the ``dof`` rows.  ``chisquares[d, j]`` is a chi-square
+    draw with ``dof - j`` degrees of freedom; needs ``dof >= rows``."""
+    rows, cols = normals.shape[1:]
+    below = np.tril_indices(rows, 0, cols)
+    normals[:, below[0], below[1]] = 0.0
     j = np.arange(rows)
-    r[j, j] = np.sqrt(rng.chisquare(dof - j))
-    return r
+    normals[:, j, j] = np.sqrt(chisquares)
 
 
 def _quantile(draws: np.ndarray, quantile: float) -> float:
@@ -240,9 +243,13 @@ def _null_sampler(n: int, ranks: list[int], resamples: int, seq: np.random.SeedS
 def _null_chunk(n: int, ranks: list[int], children: list[np.random.SeedSequence]) -> np.ndarray:
     """The null's draws for one chunk of ``SeedSequence`` children."""
     total = sum(ranks)
-    r = np.empty((len(children), total, total))
+    r, chisquares = np.empty((len(children), total, total)), np.empty((len(children), total))
+    dof = n - np.arange(total)
     for d, child in enumerate(children):
-        r[d] = _bartlett(np.random.default_rng(child), total, total, n)
+        rng = np.random.default_rng(child)
+        rng.standard_normal(out=r[d])
+        chisquares[d] = rng.chisquare(dof)
+    _bartlett(r, chisquares)
     # Each column block's orthonormal basis overwrites the block: qr copies
     # its input, and one buffer per chunk keeps a worker's heap small.
     edges = np.cumsum([0, *ranks])
@@ -281,6 +288,8 @@ def _wedin_chunk(svd: TruncatedSVD, t_i: int, n: int, children: list[np.random.S
     m = residual_sv.size
     rows = t_i + min(n - t_i, m)
     u_rand, corner = np.empty((len(children), p, m)), np.empty((len(children), rows, m))
+    chisquares = np.empty((len(children), rows - t_i))
+    dof = n - t_i - np.arange(rows - t_i)
     for d, child in enumerate(children):
         rng = np.random.default_rng(child)
         rng.standard_normal(out=u_rand[d])
@@ -289,8 +298,10 @@ def _wedin_chunk(svd: TruncatedSVD, t_i: int, n: int, children: list[np.random.S
         # products.  V-hat' v_rand is, in law, the top t x m corner of a Haar
         # frame: the Q factor of a Gaussian whose last n - t rows enter only
         # through their Gram, a Wishart(n - t) drawn as its Bartlett factor.
-        rng.standard_normal(out=corner[d, :t_i])
-        corner[d, t_i:] = _bartlett(rng, rows - t_i, m, n - t_i)
+        # One call draws the t Gaussian rows, then the factor's normals.
+        rng.standard_normal(out=corner[d])
+        chisquares[d] = rng.chisquare(dof)
+    _bartlett(corner[:, t_i:], chisquares)
     u_rand = np.linalg.qr(u_rand)[0]
     corner = np.linalg.qr(corner)[0][:, :t_i]
     right = np.linalg.norm(corner * residual_sv, 2, axis=(1, 2))

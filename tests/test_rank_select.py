@@ -9,7 +9,6 @@ from embedjive import rank_select
 from embedjive.jive import BlockStack
 from embedjive.linalg import truncated_svd
 from embedjive.rank_select import (
-    _bartlett,
     _null_spectrum_max,
     _wedin_sin_bound,
     estimate_signal_rank,
@@ -272,6 +271,15 @@ class TestCompressedStack:
             assert estimate_signal_rank(svd.S, energy=0.9) == estimate_signal_rank(sv, energy=0.9)
 
 
+def reference_bartlett(rng, rows, cols, dof):
+    """One draw's Bartlett factor: normals above the diagonal, the square
+    roots of chi-squares with ``dof - j`` degrees of freedom on it."""
+    r = np.triu(rng.standard_normal((rows, cols)), 1)
+    j = np.arange(rows)
+    r[j, j] = np.sqrt(rng.chisquare(dof - j))
+    return r
+
+
 def reference_null_spectrum_max(n, ranks, resamples, seq):
     """The per-draw null sampler: one Bartlett factor, one QR per column
     block and one ``eigvalsh`` call per draw."""
@@ -280,7 +288,7 @@ def reference_null_spectrum_max(n, ranks, resamples, seq):
     out = np.empty(resamples)
     for d, child in enumerate(seq.spawn(resamples)):
         rng = np.random.default_rng(child)
-        r = _bartlett(rng, total, total, n)
+        r = reference_bartlett(rng, total, total, n)
         stacked = np.hstack([np.linalg.qr(cols)[0] for cols in np.hsplit(r, splits)])
         out[d] = float(np.linalg.eigvalsh(stacked.T @ stacked).max())
     return out
@@ -302,7 +310,7 @@ def reference_wedin_sin_bound(svd, t_i, resamples, quantile, seq, n):
         rng = np.random.default_rng(child)
         u_rand = np.linalg.qr(rng.standard_normal((p, m)))[0]
         g1 = rng.standard_normal((t_i, m))
-        r2 = _bartlett(rng, min(n - t_i, m), m, n - t_i)
+        r2 = reference_bartlett(rng, min(n - t_i, m), m, n - t_i)
         corner = np.linalg.qr(np.vstack([g1, r2]))[0][:t_i]
         right = np.linalg.norm(corner * residual_sv[None, :], 2)
         left = np.linalg.norm((signal_u.T @ u_rand) * residual_sv[None, :], 2)
@@ -398,7 +406,12 @@ class TestWorkerThreads:
         monkeypatch.setattr(rank_select, "_cpu_count", lambda: 2)
         monkeypatch.setattr(rank_select, "_THREADED_WORK", 0)
         plain = rank_select._bartlett
-        monkeypatch.setattr(rank_select, "_bartlett", lambda *args: plain(*args) * np.nan)
+
+        def non_finite(normals, chisquares):
+            plain(normals, chisquares)
+            normals[:] = np.nan
+
+        monkeypatch.setattr(rank_select, "_bartlett", non_finite)
         before = threading.active_count()
         with pytest.raises(np.linalg.LinAlgError):
             _select_small(rng)
