@@ -10,8 +10,11 @@ Exit codes: 0 success, 2 usage or configuration error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import json
+import logging
 import platform
 import sys
 from pathlib import Path
@@ -24,10 +27,11 @@ import embedjive
 from embedjive.compose import parse_composition, selected_parts, standard_compositions
 from embedjive.embed_io import (FORMATS, EmbeddingMatrix, align_vocabularies, parse_embedding, preprocess,
                                 write_embedding)
-from embedjive.evaluate import evaluate, read_corpus_tsv, train_linear
+from embedjive.evaluate import LabeledCorpus, evaluate, read_corpus_tsv, train_linear
 from embedjive.jive import BlockStack, JiveConfig, jive_fit, report_tsv, variance_explained
 from embedjive.linalg import NumericError
 from embedjive.rank_select import (
+    _cpu_count,
     check_settings,
     estimate_signal_rank,
     numerical_rank,
@@ -46,6 +50,15 @@ EXIT_NUMERIC = 3
 # energy split again.
 RESIDUAL_INCREASE_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-8
+
+# Bytes of eval's --input files, the largest one left out, below which its
+# jobs run inline: a pool can only overlap the other inputs' jobs with the
+# largest one's, and importing, forking and reaping it costs about 30 ms.  On
+# 2 vCPUs with the compose-eval corpora and 1 BLAS thread, a pool of two lost
+# to inline at 1.0 MB beside the largest input and tied at 1.5 MB (medians of
+# 15 alternating runs), and won at 2.5 MB (10/15, 197 -> 174 ms) and 4.5 MB
+# (14/15, 298 -> 222 ms).
+_POOLED_BYTES = 2 << 20
 
 MODEL_FILE = "model.json"
 REPORT_FILE = "report.json"
@@ -90,24 +103,14 @@ def _parse_input_spec(spec: str) -> tuple[Path, str]:
     return Path(spec), "auto"
 
 
-def _load_inputs(specs: list[str]) -> tuple[list[EmbeddingMatrix], list[dict]]:
-    matrices, records = [], []
-    for spec in specs:
-        path, fmt = _parse_input_spec(spec)
-        if not path.exists():
-            raise ValueError(f"input file not found: {path}")
-        matrix = parse_embedding(path, fmt)
-        matrices.append(matrix)
-        records.append(
-            {
-                "path": str(path),
-                "format": fmt,
-                "sha256": _sha256(path),
-                "words": matrix.n_words,
-                "dim": matrix.dim,
-            }
-        )
-    return matrices, records
+def _read_input(spec: str) -> tuple[EmbeddingMatrix, dict]:
+    """Parse one ``--input`` embedding; returns it and its manifest record."""
+    path, fmt = _parse_input_spec(spec)
+    if not path.exists():
+        raise ValueError(f"input file not found: {path}")
+    matrix = parse_embedding(path, fmt)
+    return matrix, {"path": str(path), "format": fmt, "sha256": _sha256(path), "words": matrix.n_words,
+                    "dim": matrix.dim}
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[dict], outputs: list[str]) -> None:
@@ -170,8 +173,9 @@ def _input_stack(args):
     if len(args.input) < 2:
         raise ValueError(f"{args.command} needs at least 2 --input embeddings")
     check_settings(args.energy, args.resamples, args.quantile)
-    matrices, input_records = _load_inputs(args.input)
-    aligned, n_dropped = align_vocabularies(matrices)
+    loaded = [_read_input(spec) for spec in args.input]
+    aligned, n_dropped = align_vocabularies([matrix for matrix, _ in loaded])
+    input_records = [record for _, record in loaded]
     return BlockStack([preprocess(m) for m in aligned]), input_records, n_dropped
 
 
@@ -471,15 +475,34 @@ def cmd_eval(args) -> int:
     if not args.input:
         raise ValueError("eval needs at least 1 --input embedding")
     out_dir = _out_dir(args)
-    matrices, input_records = _load_inputs(args.input)
+    paths = [_parse_input_spec(spec)[0] for spec in args.input]
+    stems = [path.stem for path in paths]  # each input's embedding name in its results row
+    for i, stem in enumerate(stems):
+        if stems.index(stem) < i:
+            raise ValueError(f"--input {paths[stems.index(stem)]} and --input {paths[i]} are both named {stem!r};"
+                             " their results rows could not be told apart")
     train_corpus = read_corpus_tsv(args.train, split="train")
     test_corpus = read_corpus_tsv(args.test, split="test")
-    rows = []
-    for matrix in matrices:
-        weights = train_linear(train_corpus, matrix, l2=args.l2)
-        row = evaluate(test_corpus, matrix, weights) | {"config": {"l2": args.l2}}
-        rows.append(json.dumps(row, sort_keys=True))
-        print(rows[-1])
+    job = functools.partial(_eval_job, train=train_corpus, test=test_corpus, l2=args.l2)
+    sizes = [path.stat().st_size if path.is_file() else 0 for path in paths]
+    input_records, rows = [], []
+    with _job_pool(min(_cpu_count(), len(paths)), sum(sizes) - max(sizes), job) as pool:
+        if pool is None:
+            outcomes = map(job, args.input)
+        else:
+            # Largest first, so that no large job starts last and runs alone.
+            futures = {i: pool.submit(_pooled_job, args.input[i])
+                       for i in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)}
+            outcomes = (futures[i].result() for i in range(len(sizes)))
+        for log_records, outcome in outcomes:
+            for record in log_records:
+                logging.getLogger(record.name).handle(record)
+            if isinstance(outcome, Exception):
+                raise outcome
+            input_records.append(outcome[0])
+            rows.append(outcome[1])
+    for row in rows:
+        print(row)
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "results.jsonl").open("a", encoding="utf-8") as fh:
         for row in rows:
@@ -487,6 +510,84 @@ def cmd_eval(args) -> int:
     config_echo = {"l2": args.l2, "train": str(args.train), "test": str(args.test)}
     _write_manifest(out_dir, "eval", config_echo, input_records, ["results.jsonl"])
     return EXIT_OK
+
+
+class _HoldBack(logging.Filter):
+    """Keeps every record of the loggers it filters from their handlers, its
+    message formatted, so that it can be emitted later, in another process
+    too."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def filter(self, record: logging.LogRecord) -> bool:
+        record.msg, record.args = record.getMessage(), None
+        self.records.append(record)
+        return False
+
+
+def _eval_job(spec: str, train: LabeledCorpus, test: LabeledCorpus, l2: float):
+    """Score one ``eval`` input: parse and hash it, then fit and evaluate the
+    classifier.  Returns the warnings it logged, held back from the handlers,
+    and either the input's manifest record and JSON row or the error that
+    refused it."""
+    held = _HoldBack()
+    loggers = [logging.getLogger(name) for name in ("embedjive.embed_io", "embedjive.evaluate")]
+    for logger in loggers:
+        logger.addFilter(held)
+    try:
+        matrix, record = _read_input(spec)
+        weights = train_linear(train, matrix, l2=l2)
+        row = evaluate(test, matrix, weights) | {"config": {"l2": l2}}
+        outcome = record, json.dumps(row, sort_keys=True)
+    except (NumericError, FloatingPointError, ValueError, OSError, KeyError) as exc:
+        outcome = exc
+    finally:
+        for logger in loggers:
+            logger.removeFilter(held)
+    return held.records, outcome
+
+
+@contextlib.contextmanager
+def _job_pool(workers: int, overlap_bytes: int, job):
+    """A process pool of ``workers`` on which ``_pooled_job`` runs ``job``,
+    or ``None`` where the jobs run inline: with fewer than two workers, with
+    less than ``_POOLED_BYTES`` of input beside the largest input, or without
+    the ``fork`` start method.  Forked workers inherit ``job``, corpora
+    included, instead of receiving it pickled (2.5 ms per job on the
+    compose-eval corpora).  Closing the pool cancels the jobs not yet started
+    and reaps every worker, also on error."""
+    if workers < 2 or overlap_bytes < _POOLED_BYTES:
+        yield None
+        return
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        yield None
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_start_worker,
+                               initargs=(job,))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+# The job of a pool worker, set once when the worker starts; None in the
+# process that runs the command.
+_worker_job = None
+
+
+def _start_worker(job) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _pooled_job(spec: str):
+    return _worker_job(spec)
 
 
 def cmd_report(args) -> int:

@@ -58,6 +58,14 @@ class EmbeddingMatrix:
             word, value = _first_non_finite(self.vocab, self.data)
             raise ValueError(f"{self.name}: non-finite value {value!r} for word {word!r}")
 
+    @classmethod
+    def _checked(cls, vocab: list[str], data: np.ndarray, name: str, index: dict[str, int]) -> EmbeddingMatrix:
+        """A matrix whose invariants the caller has checked, with ``index``
+        its word -> column dict: built without checking them again."""
+        matrix = cls.__new__(cls)
+        matrix.vocab, matrix.data, matrix.name, matrix._index = vocab, data, name, index
+        return matrix
+
     @property
     def dim(self) -> int:
         """Number of features (rows)."""
@@ -139,6 +147,7 @@ def parse_embedding(path: str | Path, fmt: str = "auto", *, value_text: list[str
         logger.warning("%s: skipped %d duplicate words (first occurrence kept)", path, duplicates)
         kept = list(index.values())
         words, data = list(index), data[kept]
+        index = dict(zip(words, range(len(words))))
         if texts is not None:
             texts = [texts[i] for i in kept]
     if header and header[0] != len(words) + duplicates:
@@ -146,7 +155,7 @@ def parse_embedding(path: str | Path, fmt: str = "auto", *, value_text: list[str
     if not np.isfinite(data).all():
         word, value = _first_non_finite(words, data.T)
         raise FormatError(f"{path}: non-finite value {value!r} for word {word!r}")
-    matrix = EmbeddingMatrix(vocab=words, data=data.T, name=path.stem)
+    matrix = EmbeddingMatrix._checked(words, data.T, path.stem, index)
     if value_text is not None:
         # Each text is matrix.dim values without leading whitespace, and a
         # newline can only end it.  If the texts are ASCII and their other

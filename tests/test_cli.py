@@ -1,4 +1,8 @@
+import concurrent.futures
 import json
+import logging
+import multiprocessing
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -730,6 +734,44 @@ class TestCompose:
         assert (out / "joint+ind1.txt").read_bytes() == (out / "joint.txt").read_bytes()
 
 
+@pytest.fixture()
+def eval_files(tmp_path):
+    """Three embeddings of different dims and vocabularies, and the train and
+    test corpora: the inputs of one ``eval``."""
+    train, test, clean, noisy = clean_noisy_pair(5)
+    partial = EmbeddingMatrix(vocab=noisy.vocab[60:], data=noisy.data[:, 60:], name="partial")
+    paths = []
+    for embedding in (clean, noisy, partial):
+        paths.append(tmp_path / f"{embedding.name}.txt")
+        write_embedding(embedding, paths[-1])
+    corpus_paths = [tmp_path / "train.tsv", tmp_path / "test.tsv"]
+    write_corpus_tsv(train, corpus_paths[0])
+    write_corpus_tsv(test, corpus_paths[1])
+    return paths, corpus_paths
+
+
+def run_eval(inputs, corpus_paths, out_dir):
+    argv = ["eval", *sum((["--input", str(p)] for p in inputs), []), "--train", str(corpus_paths[0]),
+            "--test", str(corpus_paths[1]), "--out-dir", str(out_dir)]
+    return main(argv)
+
+
+def eval_on_cpus(monkeypatch, cpus):
+    """Make ``eval`` see ``cpus`` CPUs and pool inputs of any size; returns
+    the list to which the worker count of every pool it starts is appended."""
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(embedjive.cli, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(embedjive.cli, "_POOLED_BYTES", 0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return pools
+
+
 class TestEval:
     def test_separable_corpus_row(self, tmp_path, capsys):
         corpus, embedding = separable_corpus(seed=23)
@@ -786,29 +828,92 @@ class TestEval:
         assert captured.out == ""
         assert not (out / "results.jsonl").exists()
 
-    def test_embeddings_evaluated_together_match_alone(self, tmp_path, capsys):
-        train, test, clean, noisy = clean_noisy_pair(5)
+    def test_embeddings_evaluated_together_match_alone(self, eval_files, tmp_path, capsys):
         # Different dims and vocabularies, so a lookup or buffer carried from
-        # one embedding to the next would change the second row.
-        partial = EmbeddingMatrix(vocab=noisy.vocab[60:], data=noisy.data[:, 60:], name="partial")
-        paths = []
-        for name, embedding in (("clean", clean), ("partial", partial)):
-            paths.append(tmp_path / f"{name}.txt")
-            write_embedding(embedding, paths[-1])
-        corpus_paths = [tmp_path / "train.tsv", tmp_path / "test.tsv"]
-        write_corpus_tsv(train, corpus_paths[0])
-        write_corpus_tsv(test, corpus_paths[1])
+        # one embedding to the next would change a later row.
+        paths, corpus_paths = eval_files
 
         def run(out_name, inputs):
-            argv = ["eval", *sum((["--input", str(p)] for p in inputs), []), "--train", str(corpus_paths[0]),
-                    "--test", str(corpus_paths[1]), "--out-dir", str(tmp_path / out_name)]
-            assert main(argv) == 0
+            assert run_eval(inputs, corpus_paths, tmp_path / out_name) == 0
             return (tmp_path / out_name / "results.jsonl").read_text().splitlines()
 
-        together = run("both", paths)
+        together = run("all", paths)
         capsys.readouterr()
-        assert len(together) == 2
-        assert together == run("first", paths[:1]) + run("second", paths[1:])
+        assert len(together) == 3
+        assert together == run("first", paths[:1]) + run("second", paths[1:2]) + run("third", paths[2:])
+
+    def test_rows_do_not_depend_on_the_worker_count(self, eval_files, tmp_path, capsys, monkeypatch):
+        paths, corpus_paths = eval_files
+        outputs = []
+        # One CPU runs the jobs inline; 8 CPUs start one worker per input.
+        for cpus, pools in [(1, []), (2, [2]), (8, [3])]:
+            started = eval_on_cpus(monkeypatch, cpus)
+            out_dir = tmp_path / f"cpus{cpus}"
+            assert run_eval(paths, corpus_paths, out_dir) == 0
+            assert started == pools
+            assert multiprocessing.active_children() == []
+            files = [(out_dir / name).read_bytes() for name in ("results.jsonl", "manifest.json")]
+            outputs.append((capsys.readouterr().out, *files))
+        assert len(outputs[0][0].splitlines()) == 3
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("where", ["first", "middle", "twice"])
+    def test_first_refused_input_is_reported(self, eval_files, tmp_path, capsys, monkeypatch, cpus, where):
+        (clean, noisy, partial), corpus_paths = eval_files
+        bad, worse = tmp_path / "bad.txt", tmp_path / "worse.txt"
+        bad.write_text(clean.read_text())
+        _set_value(bad, 2, "1_0")
+        # The larger refused input starts first on a pool, and still is not
+        # the one reported.
+        worse.write_text(noisy.read_text())
+        _set_value(worse, 0, "nan")
+        inputs = {"first": [bad, clean, partial], "middle": [clean, bad, partial],
+                  "twice": [clean, bad, partial, worse]}[where]
+        eval_on_cpus(monkeypatch, cpus)
+        out_dir = tmp_path / "eval"
+        assert run_eval(inputs, corpus_paths, out_dir) == 2
+        captured = capsys.readouterr()
+        assert f"{bad}: line 3: non-numeric value '1_0'" in captured.err
+        assert str(worse) not in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_inputs_with_one_name_are_refused(self, eval_files, tmp_path, capsys):
+        (clean, noisy, _), corpus_paths = eval_files
+        first, second = tmp_path / "a" / "joint.txt", tmp_path / "b" / "joint.txt"
+        for source, path in [(clean, first), (noisy, second)]:
+            path.parent.mkdir()
+            path.write_text(source.read_text())
+        out_dir = tmp_path / "eval"
+        assert run_eval([first, second], corpus_paths, out_dir) == 2
+        captured = capsys.readouterr()
+        assert f"--input {first} and --input {second} are both named 'joint'" in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_warnings_reach_stderr_in_input_order(self, eval_files, tmp_path, capsys, monkeypatch, cpus):
+        (clean, noisy, _), corpus_paths = eval_files
+        repeated, headed = tmp_path / "repeated.txt", tmp_path / "headed.txt"
+        lines = clean.read_text().splitlines(True)
+        repeated.write_text("".join(lines + lines[:2]))
+        headed.write_text("999 16\n" + noisy.read_text())
+        expected = {repeated: f"{repeated}: skipped 2 duplicate words", headed: f"{headed}: header declares 999 words"}
+        eval_on_cpus(monkeypatch, cpus)
+        handler = logging.StreamHandler(sys.stderr)
+        logging.getLogger("embedjive").addHandler(handler)
+        try:
+            for order in ([repeated, headed], [headed, repeated]):
+                assert run_eval(order, corpus_paths, tmp_path / "eval") == 0
+                err = capsys.readouterr().err
+                assert [err.count(expected[path]) for path in order] == [1, 1]
+                assert err.index(expected[order[0]]) < err.index(expected[order[1]])
+        finally:
+            logging.getLogger("embedjive").removeHandler(handler)
+        assert multiprocessing.active_children() == []
 
 
 class TestReport:

@@ -83,11 +83,13 @@ class TestParse:
             m = parse_embedding(_write(tmp_path, "a 1 1\na 2 2\nb 3 3\n"), "glove-text")
         assert m.vocab == ["a", "b"]
         np.testing.assert_array_equal(m.data[:, 0], [1.0, 1.0])
+        assert [m.column_index("a"), m.column_index("b")] == [0, 1]
         assert "1 duplicate" in caplog.text
 
     def test_word_order_preserved(self, tmp_path):
         m = parse_embedding(_write(tmp_path, "z 1\na 2\nm 3\n"), "glove-text")
         assert m.vocab == ["z", "a", "m"]
+        assert [m.column_index(w) for w in m.vocab] == [0, 1, 2]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -116,9 +116,11 @@ def test_star_import_binds_every_export():
 
 def test_cli_import_leaves_the_thread_pool_and_numpy_random_unloaded():
     """``concurrent.futures`` loads only when joint-rank selection runs its
-    draws on threads, and ``numpy.random`` only when a command draws: loaded
+    draws on threads, ``multiprocessing`` only when ``eval`` runs its jobs on
+    worker processes, and ``numpy.random`` only when a command draws: loaded
     at import, ``numpy.random`` raised the peak RSS of ``ranks`` by 2.4 MB."""
-    code = "import sys, embedjive.cli\nprint(sorted({'concurrent.futures', 'numpy.random'} & set(sys.modules)))"
+    code = ("import sys, embedjive.cli\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing', 'numpy.random'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
