@@ -10,11 +10,12 @@ Exit codes: 0 success, 2 usage or configuration error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import hashlib
 import json
 import logging
+import os
+import pickle
 import platform
 import sys
 from pathlib import Path
@@ -25,8 +26,8 @@ import numpy as np
 
 import embedjive
 from embedjive.compose import parse_composition, selected_parts, standard_compositions
-from embedjive.embed_io import (FORMATS, EmbeddingMatrix, align_vocabularies, parse_embedding, preprocess,
-                                write_embedding)
+from embedjive.embed_io import (FORMATS, EmbeddingMatrix, align_vocabularies, check_words, parse_embedding,
+                                preprocess, write_embedding)
 from embedjive.evaluate import LabeledCorpus, evaluate, read_corpus_tsv, train_linear
 from embedjive.jive import BlockStack, JiveConfig, jive_fit, report_tsv, variance_explained
 from embedjive.linalg import NumericError
@@ -51,14 +52,19 @@ EXIT_NUMERIC = 3
 RESIDUAL_INCREASE_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-8
 
-# Bytes of eval's --input files, the largest one left out, below which its
-# jobs run inline: a pool can only overlap the other inputs' jobs with the
-# largest one's, and importing, forking and reaping it costs about 30 ms.  On
-# 2 vCPUs with the compose-eval corpora and 1 BLAS thread, a pool of two lost
-# to inline at 1.0 MB beside the largest input and tied at 1.5 MB (medians of
-# 15 alternating runs), and won at 2.5 MB (10/15, 197 -> 174 ms) and 4.5 MB
-# (14/15, 298 -> 222 ms).
-_POOLED_BYTES = 2 << 20
+# Bytes of embedding text that the forked children of a _forked_map must
+# take off the longest share, below which its jobs run inline: forking a
+# child, piping its results back and reaping it costs 2-5 ms.  In a process
+# holding the decompose-fixed stack, on 2 vCPUs at 1 BLAS thread (medians of
+# 41 alternating calls), forked writes of 3 factor files lost at 100 KiB
+# beside the longest share (11.2 -> 16.6 ms) and won at 200 KiB (29.5 ->
+# 20.6 ms, 38/41); forked reads, cheaper per byte, lost at 220 KiB (14.2 ->
+# 16.3 ms), tied at 440 KiB and won at 880 KiB (57.6 -> 49.4 ms, 29/41).
+_FORKED_BYTES = 1 << 20
+
+# A value's text in a factor file, with its separator: 22 bytes (the repr of
+# a double of about 1e-2 has 17 significant digits).
+_FACTOR_VALUE_BYTES = 22
 
 MODEL_FILE = "model.json"
 REPORT_FILE = "report.json"
@@ -119,11 +125,28 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[dict
         "package_version": embedjive.__version__,
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
+        "blas": _blas_setting(),
         "config": config,
         "inputs": inputs,
         "outputs": sorted(outputs),
     }
     (out_dir / MANIFEST_FILE).write_text(_json_text(manifest), encoding="utf-8")
+
+
+def _blas_setting() -> dict:
+    """What sets the last bits of a run's floats: the BLAS numpy was built
+    against, the environment variables it reads its thread count from at
+    load time (null where unset), and the CPUs this process may run on."""
+    try:
+        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no "dicts" mode
+        build = {}
+    threads = {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    return {"name": build.get("name"), "version": build.get("version"), "threads": threads, "cpus": _cpu_count()}
+
+
+def _file_size(path: Path) -> int:
+    return path.stat().st_size if path.is_file() else 0
 
 
 def _out_dir(args, out: str | None = None) -> Path:
@@ -267,16 +290,22 @@ def cmd_decompose(args) -> int:
 
 
 def _write_model(out_dir: Path, args, inputs: list[dict], stack: BlockStack, result, decision, n_dropped):
-    """Write the model directory from one run record: the factor files,
-    ``report.json`` (the record's variance report, for readers: nothing reads
+    """Write the model directory from one run record: the factor files (one
+    ``_forked_map`` job each, their words checked once), ``report.json`` (the record's variance report, for readers: nothing reads
     it back), ``fit_log.txt``, ``model.json`` (the record itself) and the
     manifest.  Returns the record."""
     out_dir.mkdir(parents=True, exist_ok=True)
     files = _factor_files([result.joint_rank, *result.individual_ranks])
-    for name, scores in zip(files, [result.joint_basis, *result.individual_scores]):
-        if name is not None:
-            write_embedding(EmbeddingMatrix(vocab=stack.vocab, data=scores, name=name), out_dir / name)
-    outputs = [name for name in files if name is not None]
+    factors = {name: scores for name, scores in zip(files, [result.joint_basis, *result.individual_scores])
+               if name is not None}
+    check_words(stack.vocab)
+
+    def write(name: str) -> None:
+        matrix = EmbeddingMatrix(vocab=stack.vocab, data=factors[name], name=name)
+        write_embedding(matrix, out_dir / name, words_checked=True)
+
+    _forked_map(write, list(factors), [_FACTOR_VALUE_BYTES * scores.size for scores in factors.values()])
+    outputs = list(factors)
     config = result.config
     record = {
         "block_names": result.block_names,
@@ -407,8 +436,9 @@ def _read_record(path: Path) -> dict:
 
 def _read_model(model_dir: Path) -> _Model:
     """Read a directory written by ``decompose``: its checked ``model.json``,
-    and each factor file, checked to hold the recorded rank of finite
-    numbers over the recorded words, with one vocabulary."""
+    and each factor file (one ``_forked_map`` job each), checked to hold the
+    recorded rank of finite numbers over the recorded words, with one
+    vocabulary."""
     record = _read_record(model_dir / MODEL_FILE)
     ranks = [record["joint_rank"], *record["individual_ranks"]]
     files = _factor_files(ranks)
@@ -416,26 +446,26 @@ def _read_model(model_dir: Path) -> _Model:
         if record[key] != expected:
             raise ValueError(f"{model_dir / MODEL_FILE}: {key!r} must be {json.dumps(expected)}"
                              " (the joint.txt and ind_<i>.txt of the recorded ranks, null at rank 0)")
-    vocab, value_text = None, []
-    for name, rank in zip(files, ranks):
-        if name is None:
-            value_text.append(None)
-            continue
+    stored = {name: rank for name, rank in zip(files, ranks) if name is not None}
+    if not stored:
+        raise ValueError(f"model in {model_dir} has no stored factors")
+
+    def read(name: str) -> tuple[list[str], list[str]]:
         text: list[str] = []
         matrix = parse_embedding(model_dir / name, FORMATS[0], value_text=text)
-        if (matrix.dim, matrix.n_words) != (rank, record["n_words"]):
+        if (matrix.dim, matrix.n_words) != (stored[name], record["n_words"]):
             raise ValueError(
                 f"factor file {model_dir / name} holds rank {matrix.dim} over {matrix.n_words} words;"
-                f" {MODEL_FILE} records rank {rank} over {record['n_words']}"
+                f" {MODEL_FILE} records rank {stored[name]} over {record['n_words']}"
             )
-        if vocab is None:
-            vocab = matrix.vocab
-        elif matrix.vocab != vocab:
+        return matrix.vocab, text
+
+    parsed = dict(zip(stored, _forked_map(read, list(stored), [_file_size(model_dir / name) for name in stored])))
+    vocab = next(iter(parsed.values()))[0]
+    for name, (words, _) in parsed.items():
+        if words != vocab:
             raise ValueError(f"factor file {model_dir / name} disagrees with the model vocabulary")
-        value_text.append(text)
-    if vocab is None:
-        raise ValueError(f"model in {model_dir} has no stored factors")
-    return _Model(record, vocab, ranks, value_text)
+    return _Model(record, vocab, ranks, [None if name is None else parsed[name][1] for name in files])
 
 
 def cmd_compose(args) -> int:
@@ -484,23 +514,8 @@ def cmd_eval(args) -> int:
     train_corpus = read_corpus_tsv(args.train, split="train")
     test_corpus = read_corpus_tsv(args.test, split="test")
     job = functools.partial(_eval_job, train=train_corpus, test=test_corpus, l2=args.l2)
-    sizes = [path.stat().st_size if path.is_file() else 0 for path in paths]
-    input_records, rows = [], []
-    with _job_pool(min(_cpu_count(), len(paths)), sum(sizes) - max(sizes), job) as pool:
-        if pool is None:
-            outcomes = map(job, args.input)
-        else:
-            # Largest first, so that no large job starts last and runs alone.
-            futures = {i: pool.submit(_pooled_job, args.input[i])
-                       for i in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)}
-            outcomes = (futures[i].result() for i in range(len(sizes)))
-        for log_records, outcome in outcomes:
-            for record in log_records:
-                logging.getLogger(record.name).handle(record)
-            if isinstance(outcome, Exception):
-                raise outcome
-            input_records.append(outcome[0])
-            rows.append(outcome[1])
+    scored = _forked_map(job, args.input, [_file_size(path) for path in paths])
+    input_records, rows = [record for record, _ in scored], [row for _, row in scored]
     for row in rows:
         print(row)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -510,6 +525,15 @@ def cmd_eval(args) -> int:
     config_echo = {"l2": args.l2, "train": str(args.train), "test": str(args.test)}
     _write_manifest(out_dir, "eval", config_echo, input_records, ["results.jsonl"])
     return EXIT_OK
+
+
+def _eval_job(spec: str, train: LabeledCorpus, test: LabeledCorpus, l2: float) -> tuple[dict, str]:
+    """Score one ``eval`` input: parse and hash it, then fit and evaluate the
+    classifier.  Returns the input's manifest record and JSON row."""
+    matrix, record = _read_input(spec)
+    weights = train_linear(train, matrix, l2=l2)
+    row = evaluate(test, matrix, weights) | {"config": {"l2": l2}}
+    return record, json.dumps(row, sort_keys=True)
 
 
 class _HoldBack(logging.Filter):
@@ -527,67 +551,120 @@ class _HoldBack(logging.Filter):
         return False
 
 
-def _eval_job(spec: str, train: LabeledCorpus, test: LabeledCorpus, l2: float):
-    """Score one ``eval`` input: parse and hash it, then fit and evaluate the
-    classifier.  Returns the warnings it logged, held back from the handlers,
-    and either the input's manifest record and JSON row or the error that
-    refused it."""
+def _held(job, item) -> tuple[list[logging.LogRecord], Exception | None, object]:
+    """Run ``job(item)`` with the records of the package's loggers held back:
+    returns them, the exception the job raised (or ``None``) and its result."""
     held = _HoldBack()
     loggers = [logging.getLogger(name) for name in ("embedjive.embed_io", "embedjive.evaluate")]
     for logger in loggers:
         logger.addFilter(held)
     try:
-        matrix, record = _read_input(spec)
-        weights = train_linear(train, matrix, l2=l2)
-        row = evaluate(test, matrix, weights) | {"config": {"l2": l2}}
-        outcome = record, json.dumps(row, sort_keys=True)
-    except (NumericError, FloatingPointError, ValueError, OSError, KeyError) as exc:
-        outcome = exc
+        return held.records, None, job(item)
+    except Exception as exc:  # re-raised by _forked_map, in this process or the parent
+        return held.records, exc, None
     finally:
         for logger in loggers:
             logger.removeFilter(held)
-    return held.records, outcome
 
 
-@contextlib.contextmanager
-def _job_pool(workers: int, overlap_bytes: int, job):
-    """A process pool of ``workers`` on which ``_pooled_job`` runs ``job``,
-    or ``None`` where the jobs run inline: with fewer than two workers, with
-    less than ``_POOLED_BYTES`` of input beside the largest input, or without
-    the ``fork`` start method.  Forked workers inherit ``job``, corpora
-    included, instead of receiving it pickled (2.5 ms per job on the
-    compose-eval corpora).  Closing the pool cancels the jobs not yet started
-    and reaps every worker, also on error."""
-    if workers < 2 or overlap_bytes < _POOLED_BYTES:
-        yield None
-        return
-    import multiprocessing
+def _forked_map(job, items: list[str], sizes: list[int]) -> list:
+    """``[job(item) for item in items]``, in item order, with the jobs shared
+    out over this process and one forked child per further CPU, up to one
+    process per item.  Items are dealt largest ``size`` (bytes of embedding
+    text) first to the least-loaded process (then the one with the fewest
+    items, then this one first).  Forked children inherit ``job`` and what it
+    holds instead of receiving them pickled.
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        yield None
-        return
-    from concurrent.futures import ProcessPoolExecutor
+    Each job's log records are held back and re-emitted here in item order;
+    the first item, in item order, whose job raised stops that: its records
+    are emitted and its exception is raised.  A child that ends without
+    returning its results raises ``ChildProcessError`` for its items.  The
+    jobs run inline, one at a time, on one CPU, for one item, without
+    ``os.fork``, or when the children would take less than
+    ``_FORKED_BYTES`` off the longest share.  Every child is reaped before
+    this returns or raises."""
+    workers = min(_cpu_count(), len(items))
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for i in sorted(range(len(items)), key=sizes.__getitem__, reverse=True):
+        least = min(range(workers), key=lambda w: (loads[w], len(shares[w])))
+        shares[least].append(i)
+        loads[least] += sizes[i]
+    if workers < 2 or not hasattr(os, "fork") or sum(loads) - max(loads) < _FORKED_BYTES:
+        outcomes = (_held(job, item) for item in items)
+    else:
+        outcomes = _forked_outcomes(job, items, shares)
+    results = []
+    for records, error, result in outcomes:
+        for record in records:
+            logging.getLogger(record.name).handle(record)
+        if error is not None:
+            raise error
+        results.append(result)
+    return results
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_start_worker,
-                               initargs=(job,))
+
+def _forked_outcomes(job, items: list[str], shares: list[list[int]]) -> list:
+    """Each item's ``_held`` outcome: the first share's run here, every other
+    share's in a forked child that pickles them back through its own pipe.
+    Each pipe's write end is closed here before the next child is forked, so
+    its only writer is its child.  On an error here, children not yet reaped
+    are killed; all are reaped."""
+    outcomes: list = [None] * len(items)
+    children = []  # [pid or None once reaped, read end, share]
     try:
-        yield pool
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _run_share(job, items, share, write_fd)
+            os.close(write_fd)
+            children.append([pid, open(read_fd, "rb"), share])
+        for i in shares[0]:
+            outcomes[i] = _held(job, items[i])
+        for child in children:
+            pid, pipe, share = child
+            with pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            child[0] = None
+            if code == 0:
+                for i, outcome in zip(share, pickle.loads(payload)):
+                    outcomes[i] = outcome
+                continue
+            ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            error = ChildProcessError(f"the worker process for {items[share[0]]} {ended} before returning its results")
+            for i in share:
+                outcomes[i] = ([], error, None)
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid, pipe, _ in children:
+            pipe.close()
+            if pid is not None:
+                import signal  # here only: importing it costs about 1 ms
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return outcomes
 
 
-# The job of a pool worker, set once when the worker starts; None in the
-# process that runs the command.
-_worker_job = None
-
-
-def _start_worker(job) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _pooled_job(spec: str):
-    return _worker_job(spec)
+def _run_share(job, items: list[str], share: list[int], write_fd: int):
+    """A forked child's life: run its share's jobs, write their outcomes to
+    ``write_fd`` pickled, and leave by ``os._exit`` (status 0 only once they
+    are written), so that neither the parent's buffered output is flushed
+    nor its exit handlers run here."""
+    status = 1
+    try:
+        payload = pickle.dumps([_held(job, items[i]) for i in share], pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def cmd_report(args) -> int:

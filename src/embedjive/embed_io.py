@@ -13,6 +13,7 @@ the columns.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -22,6 +23,10 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 FORMATS = ("glove-text", "word2vec-text")
+
+# What str.split splits on (re's \s matches exactly the characters for which
+# str.isspace is true): a word holding one would not be read back as one word.
+_WHITESPACE = re.compile(r"\s")
 
 
 class FormatError(ValueError):
@@ -238,20 +243,33 @@ def _is_numeric(text: str) -> bool:
     return True
 
 
-def write_embedding(matrix: EmbeddingMatrix, path: str | Path, fmt: str = "glove-text") -> None:
+def check_words(vocab: list[str]) -> None:
+    """Refuse a vocabulary that a text format cannot hold: the first word,
+    in vocabulary order, that is empty or contains whitespace is a
+    ``ValueError`` naming it."""
+    if all(vocab) and not _WHITESPACE.search("".join(vocab)):
+        return
+    for word in vocab:
+        if not word:
+            raise ValueError("word is empty; text formats cannot represent it")
+        if _WHITESPACE.search(word):
+            raise ValueError(f"word contains whitespace: {word!r}")
+
+
+def write_embedding(matrix: EmbeddingMatrix, path: str | Path, fmt: str = "glove-text", *,
+                    words_checked: bool = False) -> None:
     """Write ``matrix`` as text; ``parse_embedding`` recovers it exactly.
 
     Each value is written as Python's ``repr`` of the float: the shortest
     decimal string that parses back to the same double, so write->parse is
-    lossless and reruns give the same bytes.
+    lossless and reruns give the same bytes.  The vocabulary is refused by
+    :func:`check_words` first, unless ``words_checked`` says that the caller
+    has run it on this vocabulary.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown embedding format {fmt!r}; expected one of {FORMATS}")
-    for word in matrix.vocab:
-        if not word:
-            raise ValueError("word is empty; text formats cannot represent it")
-        if any(c.isspace() for c in word):
-            raise ValueError(f"word contains whitespace: {word!r}")
+    if not words_checked:
+        check_words(matrix.vocab)
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         if fmt == "word2vec-text":

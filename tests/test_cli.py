@@ -1,8 +1,12 @@
-import concurrent.futures
+import contextlib
 import json
 import logging
-import multiprocessing
+import os
+import shutil
+import signal
+import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -756,20 +760,50 @@ def run_eval(inputs, corpus_paths, out_dir):
     return main(argv)
 
 
-def eval_on_cpus(monkeypatch, cpus):
-    """Make ``eval`` see ``cpus`` CPUs and pool inputs of any size; returns
-    the list to which the worker count of every pool it starts is appended."""
-    pools = []
+def on_cpus(monkeypatch, cpus):
+    """Make the CLI see ``cpus`` CPUs and fork for jobs of any size; returns
+    the list to which the pid of every child it forks is appended."""
+    forked = []
+    fork = os.fork
 
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, *args, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
     monkeypatch.setattr(embedjive.cli, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(embedjive.cli, "_POOLED_BYTES", 0)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    return pools
+    monkeypatch.setattr(embedjive.cli, "_FORKED_BYTES", 0)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the block with ``TimeoutError`` if it runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def without_cpus(manifest: bytes) -> dict:
+    """A manifest's content apart from the CPU count it records."""
+    content = json.loads(manifest)
+    del content["blas"]["cpus"]
+    return content
 
 
 class TestEval:
@@ -845,15 +879,16 @@ class TestEval:
     def test_rows_do_not_depend_on_the_worker_count(self, eval_files, tmp_path, capsys, monkeypatch):
         paths, corpus_paths = eval_files
         outputs = []
-        # One CPU runs the jobs inline; 8 CPUs start one worker per input.
-        for cpus, pools in [(1, []), (2, [2]), (8, [3])]:
-            started = eval_on_cpus(monkeypatch, cpus)
+        # One CPU runs the jobs inline; 8 CPUs fork one child per input beside this process's.
+        for cpus, children in [(1, 0), (2, 1), (8, 2)]:
+            forked = on_cpus(monkeypatch, cpus)
             out_dir = tmp_path / f"cpus{cpus}"
             assert run_eval(paths, corpus_paths, out_dir) == 0
-            assert started == pools
-            assert multiprocessing.active_children() == []
-            files = [(out_dir / name).read_bytes() for name in ("results.jsonl", "manifest.json")]
-            outputs.append((capsys.readouterr().out, *files))
+            assert len(forked) == children
+            assert_no_child_left()
+            manifest = (out_dir / "manifest.json").read_bytes()
+            assert json.loads(manifest)["blas"]["cpus"] == cpus
+            outputs.append((*capsys.readouterr(), (out_dir / "results.jsonl").read_bytes(), without_cpus(manifest)))
         assert len(outputs[0][0].splitlines()) == 3
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
@@ -871,7 +906,7 @@ class TestEval:
         _set_value(worse, 0, "nan")
         inputs = {"first": [bad, clean, partial], "middle": [clean, bad, partial],
                   "twice": [clean, bad, partial, worse]}[where]
-        eval_on_cpus(monkeypatch, cpus)
+        forked = on_cpus(monkeypatch, cpus)
         out_dir = tmp_path / "eval"
         assert run_eval(inputs, corpus_paths, out_dir) == 2
         captured = capsys.readouterr()
@@ -879,7 +914,8 @@ class TestEval:
         assert str(worse) not in captured.err
         assert captured.out == ""
         assert not out_dir.exists()
-        assert multiprocessing.active_children() == []
+        assert len(forked) == cpus - 1
+        assert_no_child_left()
 
     def test_inputs_with_one_name_are_refused(self, eval_files, tmp_path, capsys):
         (clean, noisy, _), corpus_paths = eval_files
@@ -902,7 +938,7 @@ class TestEval:
         repeated.write_text("".join(lines + lines[:2]))
         headed.write_text("999 16\n" + noisy.read_text())
         expected = {repeated: f"{repeated}: skipped 2 duplicate words", headed: f"{headed}: header declares 999 words"}
-        eval_on_cpus(monkeypatch, cpus)
+        forked = on_cpus(monkeypatch, cpus)
         handler = logging.StreamHandler(sys.stderr)
         logging.getLogger("embedjive").addHandler(handler)
         try:
@@ -913,7 +949,108 @@ class TestEval:
                 assert err.index(expected[order[0]]) < err.index(expected[order[1]])
         finally:
             logging.getLogger("embedjive").removeHandler(handler)
-        assert multiprocessing.active_children() == []
+        assert len(forked) == 2 * (cpus - 1)
+        assert_no_child_left()
+
+
+class TestForkedMap:
+    """``decompose`` writes, and ``compose`` reads, one factor file per job
+    on ``_forked_map``, which ``eval`` shares."""
+
+    def test_decompose_and_compose_do_not_depend_on_the_cpu_count(self, input_files, tmp_path, capsys, monkeypatch):
+        model_dir, composed = tmp_path / "model", tmp_path / "composed"
+        compose_argv = ["compose", "--model", str(model_dir), "--format", "word2vec-text", "--out-dir", str(composed)]
+        runs = []
+        # Three factor files: 8 CPUs fork one child per file beside this process.
+        for cpus, children in [(1, 0), (2, 1), (8, 2)]:
+            for path in (model_dir, composed):
+                shutil.rmtree(path, ignore_errors=True)
+            forked = on_cpus(monkeypatch, cpus)
+            assert run_decompose(input_files, model_dir) == 0
+            decomposed = capsys.readouterr()
+            assert main(compose_argv) == 0
+            assert len(forked) == 2 * children
+            assert_no_child_left()
+            files = {path.relative_to(tmp_path): path.read_bytes() for path in sorted(tmp_path.glob("*/*"))}
+            manifests = {path: without_cpus(files.pop(path)) for path in list(files) if path.name == "manifest.json"}
+            runs.append((decomposed, capsys.readouterr(), files, manifests))
+        assert len(runs[0][2]) == 13  # 3 factor files, report, fit log and model record; 7 compositions
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    @pytest.mark.parametrize("blocked, named", [(["ind_1.txt"], "ind_1.txt"), (["ind_1.txt", "ind_0.txt"], "ind_0.txt"),
+                                                (["ind_0.txt", "joint.txt"], "joint.txt")])
+    def test_failing_write_exits_2_naming_the_first_file(self, input_files, tmp_path, capsys, monkeypatch, cpus,
+                                                          blocked, named):
+        out = tmp_path / "model"
+        for name in blocked:
+            (out / name).mkdir(parents=True)
+        forked = on_cpus(monkeypatch, cpus)
+        assert run_decompose(input_files, out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 21] Is a directory: '{out / named}'\n"
+        assert not (out / "model.json").exists()
+        assert len(forked) == min(cpus, 3) - 1
+        assert_no_child_left()
+
+    def test_killed_child_is_an_error(self, monkeypatch):
+        forked = on_cpus(monkeypatch, 3)
+        parent = os.getpid()
+
+        def job(item):
+            if item == "b" and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return item
+
+        with deadline(60), pytest.raises(ChildProcessError) as raised:
+            embedjive.cli._forked_map(job, ["a", "b", "c"], [3, 2, 1])
+        assert str(raised.value) == "the worker process for b was killed by signal 9 before returning its results"
+        assert len(forked) == 2
+        assert_no_child_left()
+
+    def test_interrupt_reaps_the_children(self, monkeypatch):
+        forked = on_cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def job(item):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # until killed
+
+        with deadline(60), pytest.raises(KeyboardInterrupt):
+            embedjive.cli._forked_map(job, ["a", "b"], [1, 1])
+        assert len(forked) == 1
+        assert_no_child_left()
+
+    def test_results_and_errors_come_back_in_item_order(self, monkeypatch):
+        on_cpus(monkeypatch, 8)
+
+        def job(item):
+            if item.startswith("bad"):
+                raise ValueError(item)
+            return item * 2
+
+        items = ["a", "bb", "ccc", "d"]
+        assert embedjive.cli._forked_map(job, items, [1, 4, 2, 3]) == ["aa", "bbbb", "cccccc", "dd"]
+        with pytest.raises(ValueError, match="^bad1$"):
+            embedjive.cli._forked_map(job, ["a", "bad1", "bad2"], [1, 1, 9])
+        assert_no_child_left()
+
+    def test_forked_eval_loads_no_process_pool(self, eval_files, tmp_path):
+        paths, corpus_paths = eval_files
+        argv = ["eval", *sum((["--input", str(p)] for p in paths), []), "--train", str(corpus_paths[0]),
+                "--test", str(corpus_paths[1]), "--out-dir", str(tmp_path / "eval")]
+        code = ("import os, sys, embedjive.cli as cli\n"
+                "cli._cpu_count, cli._FORKED_BYTES, fork, forks = (lambda: 3), 0, os.fork, []\n"
+                "os.fork = lambda: forks.append(1) or fork()\n"
+                f"assert cli.main({argv!r}) == 0\n"
+                "print(len(forks), sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "2 []"
 
 
 class TestReport:

@@ -10,6 +10,7 @@ from embedjive.embed_io import (
     EmbeddingMatrix,
     FormatError,
     align_vocabularies,
+    check_words,
     parse_embedding,
     preprocess,
     write_embedding,
@@ -269,6 +270,25 @@ class TestWrite:
         m = EmbeddingMatrix(vocab=["a b"], data=[[1.0]])
         with pytest.raises(ValueError, match="word contains whitespace"):
             write_embedding(m, tmp_path / "out.txt")
+
+    # The first word a text format cannot hold is named, after good words and
+    # before later bad ones; U+3000 is an ideographic space.
+    @pytest.mark.parametrize(
+        "word, message",
+        [("a\tb", "word contains whitespace: 'a\\tb'"), ("a\u3000b", "word contains whitespace: 'a\\u3000b'"),
+         (" a", "word contains whitespace: ' a'"), ("", "word is empty")],
+        ids=["tab", "ideographic-space", "leading-space", "empty"],
+    )
+    def test_words_a_text_format_cannot_hold_are_refused(self, tmp_path, word, message):
+        m = EmbeddingMatrix(vocab=["x", word, "y z"], data=np.ones((1, 3)))
+        with pytest.raises(ValueError) as refused:
+            write_embedding(m, tmp_path / "out.txt")
+        assert str(refused.value).startswith(message)
+        assert not (tmp_path / "out.txt").exists()
+        with pytest.raises(ValueError) as refused:
+            check_words(m.vocab)
+        assert str(refused.value).startswith(message)
+        check_words(["x", "y", "é"])
 
     def test_values_are_shortest_round_trip_repr(self, tmp_path, rng):
         m = EmbeddingMatrix(vocab=["a", "b", "c"], data=np.hstack([[[0.5], [-2.0]], rng.standard_normal((2, 2))]))
