@@ -26,8 +26,8 @@ import numpy as np
 
 import embedjive
 from embedjive.compose import parse_composition, selected_parts, standard_compositions
-from embedjive.embed_io import (FORMATS, EmbeddingMatrix, align_vocabularies, check_words, parse_embedding,
-                                preprocess, write_embedding)
+from embedjive.embed_io import (FORMATS, EmbeddingMatrix, align_vocabularies, parse_embedding, preprocess,
+                                write_embedding)
 from embedjive.evaluate import LabeledCorpus, evaluate, read_corpus_tsv, train_linear
 from embedjive.jive import BlockStack, JiveConfig, jive_fit, report_tsv, variance_explained
 from embedjive.linalg import NumericError
@@ -54,12 +54,16 @@ ORTHOGONALITY_TOL = 1e-8
 
 # Bytes of embedding text that the forked children of a _forked_map must
 # take off the longest share, below which its jobs run inline: forking a
-# child, piping its results back and reaping it costs 2-5 ms.  In a process
-# holding the decompose-fixed stack, on 2 vCPUs at 1 BLAS thread (medians of
-# 41 alternating calls), forked writes of 3 factor files lost at 100 KiB
-# beside the longest share (11.2 -> 16.6 ms) and won at 200 KiB (29.5 ->
-# 20.6 ms, 38/41); forked reads, cheaper per byte, lost at 220 KiB (14.2 ->
-# 16.3 ms), tied at 440 KiB and won at 880 KiB (57.6 -> 49.4 ms, 29/41).
+# child, piping its results back and reaping it costs 2-5 ms.  On 2 vCPUs at
+# 1 BLAS thread, inline against forked in alternating calls: in a process
+# holding the decompose-fixed stack, forked writes of 3 factor files lost at
+# 100 KiB beside the longest share (11.2 -> 16.6 ms) and won at 200 KiB
+# (29.5 -> 20.6 ms, 38/41); eval of two equal inputs with the compose-eval
+# corpora lost at 512 and 768 KiB each (forked faster in 11/31 and 11-15/31),
+# tied at 1 MiB (15/31 twice, 45.6 -> 46.1 ms) and 1.25 MiB (18/31), and won
+# at 1.5 MiB (22-26/31, 74.5 -> 68.6 ms) and 2 MiB (25/31, 76.9 -> 72.4 ms).
+# compose parses its factor files serially: forked, one per job, the
+# compose-eval model's read lost end to end (261 -> 290 ms, faster in 8/41).
 _FORKED_BYTES = 1 << 20
 
 # A value's text in a factor file, with its separator: 22 bytes (the repr of
@@ -291,18 +295,16 @@ def cmd_decompose(args) -> int:
 
 def _write_model(out_dir: Path, args, inputs: list[dict], stack: BlockStack, result, decision, n_dropped):
     """Write the model directory from one run record: the factor files (one
-    ``_forked_map`` job each, their words checked once), ``report.json`` (the record's variance report, for readers: nothing reads
-    it back), ``fit_log.txt``, ``model.json`` (the record itself) and the
-    manifest.  Returns the record."""
+    ``_forked_map`` job each), ``report.json`` (the record's variance report,
+    for readers: nothing reads it back), ``fit_log.txt``, ``model.json`` (the
+    record itself) and the manifest.  Returns the record."""
     out_dir.mkdir(parents=True, exist_ok=True)
     files = _factor_files([result.joint_rank, *result.individual_ranks])
     factors = {name: scores for name, scores in zip(files, [result.joint_basis, *result.individual_scores])
                if name is not None}
-    check_words(stack.vocab)
 
     def write(name: str) -> None:
-        matrix = EmbeddingMatrix(vocab=stack.vocab, data=factors[name], name=name)
-        write_embedding(matrix, out_dir / name, words_checked=True)
+        write_embedding(EmbeddingMatrix(vocab=stack.vocab, data=factors[name], name=name), out_dir / name)
 
     _forked_map(write, list(factors), [_FACTOR_VALUE_BYTES * scores.size for scores in factors.values()])
     outputs = list(factors)
@@ -436,9 +438,8 @@ def _read_record(path: Path) -> dict:
 
 def _read_model(model_dir: Path) -> _Model:
     """Read a directory written by ``decompose``: its checked ``model.json``,
-    and each factor file (one ``_forked_map`` job each), checked to hold the
-    recorded rank of finite numbers over the recorded words, with one
-    vocabulary."""
+    and each factor file, checked to hold the recorded rank of finite
+    numbers over the recorded words, with one vocabulary."""
     record = _read_record(model_dir / MODEL_FILE)
     ranks = [record["joint_rank"], *record["individual_ranks"]]
     files = _factor_files(ranks)
@@ -446,26 +447,26 @@ def _read_model(model_dir: Path) -> _Model:
         if record[key] != expected:
             raise ValueError(f"{model_dir / MODEL_FILE}: {key!r} must be {json.dumps(expected)}"
                              " (the joint.txt and ind_<i>.txt of the recorded ranks, null at rank 0)")
-    stored = {name: rank for name, rank in zip(files, ranks) if name is not None}
-    if not stored:
-        raise ValueError(f"model in {model_dir} has no stored factors")
-
-    def read(name: str) -> tuple[list[str], list[str]]:
+    vocab, value_text = None, []
+    for name, rank in zip(files, ranks):
+        if name is None:
+            value_text.append(None)
+            continue
         text: list[str] = []
         matrix = parse_embedding(model_dir / name, FORMATS[0], value_text=text)
-        if (matrix.dim, matrix.n_words) != (stored[name], record["n_words"]):
+        if (matrix.dim, matrix.n_words) != (rank, record["n_words"]):
             raise ValueError(
                 f"factor file {model_dir / name} holds rank {matrix.dim} over {matrix.n_words} words;"
-                f" {MODEL_FILE} records rank {stored[name]} over {record['n_words']}"
+                f" {MODEL_FILE} records rank {rank} over {record['n_words']}"
             )
-        return matrix.vocab, text
-
-    parsed = dict(zip(stored, _forked_map(read, list(stored), [_file_size(model_dir / name) for name in stored])))
-    vocab = next(iter(parsed.values()))[0]
-    for name, (words, _) in parsed.items():
-        if words != vocab:
+        if vocab is None:
+            vocab = matrix.vocab
+        elif matrix.vocab != vocab:
             raise ValueError(f"factor file {model_dir / name} disagrees with the model vocabulary")
-    return _Model(record, vocab, ranks, [None if name is None else parsed[name][1] for name in files])
+        value_text.append(text)
+    if vocab is None:
+        raise ValueError(f"model in {model_dir} has no stored factors")
+    return _Model(record, vocab, ranks, value_text)
 
 
 def cmd_compose(args) -> int:
@@ -608,28 +609,36 @@ def _forked_outcomes(job, items: list[str], shares: list[list[int]]) -> list:
     """Each item's ``_held`` outcome: the first share's run here, every other
     share's in a forked child that pickles them back through its own pipe.
     Each pipe's write end is closed here before the next child is forked, so
-    its only writer is its child.  On an error here, children not yet reaped
-    are killed; all are reaped."""
+    its only writer is its child.  SIGINT, which a terminal's Ctrl-C sends
+    to the whole process group, is blocked across each fork and stays
+    blocked in the child, so no ``KeyboardInterrupt`` can unwind through the
+    child's copy of the caller's frames; one raised here kills the children.
+    On an error here, children not yet reaped are killed; all are reaped."""
+    import signal  # here only: importing it costs about 1 ms
+
     outcomes: list = [None] * len(items)
-    children = []  # [pid or None once reaped, read end, share]
+    children = []  # [pid or None once reaped, read end or None once taken, share]
     try:
         for share in shares[1:]:
             read_fd, write_fd = os.pipe()
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
                 pid = os.fork()
+                if pid == 0:
+                    _run_share(job, items, share, write_fd)
+                children.append([pid, read_fd, share])
             except OSError:
                 os.close(read_fd)
-                os.close(write_fd)
                 raise
-            if pid == 0:
-                _run_share(job, items, share, write_fd)
-            os.close(write_fd)
-            children.append([pid, open(read_fd, "rb"), share])
+            finally:
+                os.close(write_fd)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for i in shares[0]:
             outcomes[i] = _held(job, items[i])
         for child in children:
-            pid, pipe, share = child
-            with pipe:
+            pid, read_fd, share = child
+            child[1] = None
+            with open(read_fd, "rb") as pipe:
                 payload = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             child[0] = None
@@ -642,21 +651,20 @@ def _forked_outcomes(job, items: list[str], shares: list[list[int]]) -> list:
             for i in share:
                 outcomes[i] = ([], error, None)
     finally:
-        for pid, pipe, _ in children:
-            pipe.close()
+        for pid, read_fd, _ in children:
+            if read_fd is not None:
+                os.close(read_fd)
             if pid is not None:
-                import signal  # here only: importing it costs about 1 ms
-
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
     return outcomes
 
 
 def _run_share(job, items: list[str], share: list[int], write_fd: int):
-    """A forked child's life: run its share's jobs, write their outcomes to
-    ``write_fd`` pickled, and leave by ``os._exit`` (status 0 only once they
-    are written), so that neither the parent's buffered output is flushed
-    nor its exit handlers run here."""
+    """A forked child's life, with SIGINT blocked: run its share's jobs,
+    write their outcomes to ``write_fd`` pickled, and leave by ``os._exit``
+    (status 0 only once they are written), so that neither the parent's
+    buffered output is flushed nor its exit handlers run here."""
     status = 1
     try:
         payload = pickle.dumps([_held(job, items[i]) for i in share], pickle.HIGHEST_PROTOCOL)

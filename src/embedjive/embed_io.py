@@ -243,33 +243,23 @@ def _is_numeric(text: str) -> bool:
     return True
 
 
-def check_words(vocab: list[str]) -> None:
-    """Refuse a vocabulary that a text format cannot hold: the first word,
-    in vocabulary order, that is empty or contains whitespace is a
-    ``ValueError`` naming it."""
-    if all(vocab) and not _WHITESPACE.search("".join(vocab)):
-        return
-    for word in vocab:
-        if not word:
-            raise ValueError("word is empty; text formats cannot represent it")
-        if _WHITESPACE.search(word):
-            raise ValueError(f"word contains whitespace: {word!r}")
-
-
-def write_embedding(matrix: EmbeddingMatrix, path: str | Path, fmt: str = "glove-text", *,
-                    words_checked: bool = False) -> None:
+def write_embedding(matrix: EmbeddingMatrix, path: str | Path, fmt: str = "glove-text") -> None:
     """Write ``matrix`` as text; ``parse_embedding`` recovers it exactly.
 
     Each value is written as Python's ``repr`` of the float: the shortest
     decimal string that parses back to the same double, so write->parse is
-    lossless and reruns give the same bytes.  The vocabulary is refused by
-    :func:`check_words` first, unless ``words_checked`` says that the caller
-    has run it on this vocabulary.
+    lossless and reruns give the same bytes.  A vocabulary holding an empty
+    word or one with whitespace is refused, naming the first such word.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown embedding format {fmt!r}; expected one of {FORMATS}")
-    if not words_checked:
-        check_words(matrix.vocab)
+    vocab = matrix.vocab
+    if not all(vocab) or _WHITESPACE.search("".join(vocab)):
+        for word in vocab:
+            if not word:
+                raise ValueError("word is empty; text formats cannot represent it")
+            if _WHITESPACE.search(word):
+                raise ValueError(f"word contains whitespace: {word!r}")
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         if fmt == "word2vec-text":

@@ -954,14 +954,14 @@ class TestEval:
 
 
 class TestForkedMap:
-    """``decompose`` writes, and ``compose`` reads, one factor file per job
-    on ``_forked_map``, which ``eval`` shares."""
+    """``decompose`` writes one factor file per job on ``_forked_map``, which
+    ``eval`` shares; ``compose`` parses the factor files in this process."""
 
     def test_decompose_and_compose_do_not_depend_on_the_cpu_count(self, input_files, tmp_path, capsys, monkeypatch):
         model_dir, composed = tmp_path / "model", tmp_path / "composed"
         compose_argv = ["compose", "--model", str(model_dir), "--format", "word2vec-text", "--out-dir", str(composed)]
         runs = []
-        # Three factor files: 8 CPUs fork one child per file beside this process.
+        # Three factor files: 8 CPUs fork one writer per file beside this process.
         for cpus, children in [(1, 0), (2, 1), (8, 2)]:
             for path in (model_dir, composed):
                 shutil.rmtree(path, ignore_errors=True)
@@ -969,7 +969,7 @@ class TestForkedMap:
             assert run_decompose(input_files, model_dir) == 0
             decomposed = capsys.readouterr()
             assert main(compose_argv) == 0
-            assert len(forked) == 2 * children
+            assert len(forked) == children
             assert_no_child_left()
             files = {path.relative_to(tmp_path): path.read_bytes() for path in sorted(tmp_path.glob("*/*"))}
             manifests = {path: without_cpus(files.pop(path)) for path in list(files) if path.name == "manifest.json"}
@@ -1021,6 +1021,22 @@ class TestForkedMap:
 
         with deadline(60), pytest.raises(KeyboardInterrupt):
             embedjive.cli._forked_map(job, ["a", "b"], [1, 1])
+        assert len(forked) == 1
+        assert_no_child_left()
+
+    def test_child_blocks_sigint(self, monkeypatch):
+        # A Ctrl-C reaches every process of the group; in a child it stays
+        # pending until os._exit, so the child's jobs still return.
+        forked = on_cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def job(item):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGINT)
+            return item, signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+        with deadline(60):
+            assert embedjive.cli._forked_map(job, ["a", "b"], [2, 1]) == [("a", False), ("b", True)]
         assert len(forked) == 1
         assert_no_child_left()
 

@@ -10,7 +10,6 @@ from embedjive.embed_io import (
     EmbeddingMatrix,
     FormatError,
     align_vocabularies,
-    check_words,
     parse_embedding,
     preprocess,
     write_embedding,
@@ -285,10 +284,7 @@ class TestWrite:
             write_embedding(m, tmp_path / "out.txt")
         assert str(refused.value).startswith(message)
         assert not (tmp_path / "out.txt").exists()
-        with pytest.raises(ValueError) as refused:
-            check_words(m.vocab)
-        assert str(refused.value).startswith(message)
-        check_words(["x", "y", "é"])
+        write_embedding(EmbeddingMatrix(vocab=["x", "y", "é"], data=np.ones((1, 3))), tmp_path / "out.txt")
 
     def test_values_are_shortest_round_trip_repr(self, tmp_path, rng):
         m = EmbeddingMatrix(vocab=["a", "b", "c"], data=np.hstack([[[0.5], [-2.0]], rng.standard_normal((2, 2))]))
