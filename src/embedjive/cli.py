@@ -13,9 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
-import logging
 import os
-import pickle
 import platform
 import sys
 from pathlib import Path
@@ -25,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 import embedjive
+from embedjive import jobs
 from embedjive.compose import parse_composition, selected_parts, standard_compositions
 from embedjive.embed_io import (FORMATS, EmbeddingMatrix, align_vocabularies, parse_embedding, preprocess,
                                 write_embedding)
@@ -32,7 +31,6 @@ from embedjive.evaluate import LabeledCorpus, evaluate, read_corpus_tsv, train_l
 from embedjive.jive import BlockStack, JiveConfig, jive_fit, report_tsv, variance_explained
 from embedjive.linalg import NumericError
 from embedjive.rank_select import (
-    _cpu_count,
     check_settings,
     estimate_signal_rank,
     numerical_rank,
@@ -145,8 +143,8 @@ def _blas_setting() -> dict:
         build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 has no "dicts" mode
         build = {}
-    threads = {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    return {"name": build.get("name"), "version": build.get("version"), "threads": threads, "cpus": _cpu_count()}
+    threads = {var: os.environ.get(var) for var in jobs._BLAS_THREAD_VARIABLES}
+    return {"name": build.get("name"), "version": build.get("version"), "threads": threads, "cpus": jobs._cpu_count()}
 
 
 def _file_size(path: Path) -> int:
@@ -306,7 +304,8 @@ def _write_model(out_dir: Path, args, inputs: list[dict], stack: BlockStack, res
     def write(name: str) -> None:
         write_embedding(EmbeddingMatrix(vocab=stack.vocab, data=factors[name], name=name), out_dir / name)
 
-    _forked_map(write, list(factors), [_FACTOR_VALUE_BYTES * scores.size for scores in factors.values()])
+    jobs._forked_map(write, list(factors), [_FACTOR_VALUE_BYTES * scores.size for scores in factors.values()],
+                     _FORKED_BYTES)
     outputs = list(factors)
     config = result.config
     record = {
@@ -400,9 +399,9 @@ class _Model(NamedTuple):
 
 
 def _read_record(path: Path) -> dict:
-    """``model.json`` decoded, with every key that is read back checked
-    against ``RECORD_CHECKS``, and each block's energy positive and split
-    into its three parts as ``decompose`` requires."""
+    """``model.json`` decoded, with at least 2 block names, every key that is
+    read back checked against ``RECORD_CHECKS``, and each block's energy
+    positive and split into its three parts as ``decompose`` requires."""
     if not path.exists():
         raise ValueError(f"model sidecar not found: {path}")
     try:
@@ -415,6 +414,8 @@ def _read_record(path: Path) -> dict:
     if missing:
         raise ValueError(f"{path} is missing {', '.join(map(repr, missing))}")
     names = record["block_names"]
+    if isinstance(names, list) and len(names) < 2:  # decompose needs at least 2 blocks
+        raise ValueError(f"{path}: 'block_names' must list at least 2 blocks, not {len(names)}")
     for what, is_kind, keys, block_keys in RECORD_CHECKS:
         for key in keys:
             if not is_kind(record[key]):
@@ -515,7 +516,7 @@ def cmd_eval(args) -> int:
     train_corpus = read_corpus_tsv(args.train, split="train")
     test_corpus = read_corpus_tsv(args.test, split="test")
     job = functools.partial(_eval_job, train=train_corpus, test=test_corpus, l2=args.l2)
-    scored = _forked_map(job, args.input, [_file_size(path) for path in paths])
+    scored = jobs._forked_map(job, args.input, [_file_size(path) for path in paths], _FORKED_BYTES)
     input_records, rows = [record for record, _ in scored], [row for _, row in scored]
     for row in rows:
         print(row)
@@ -535,144 +536,6 @@ def _eval_job(spec: str, train: LabeledCorpus, test: LabeledCorpus, l2: float) -
     weights = train_linear(train, matrix, l2=l2)
     row = evaluate(test, matrix, weights) | {"config": {"l2": l2}}
     return record, json.dumps(row, sort_keys=True)
-
-
-class _HoldBack(logging.Filter):
-    """Keeps every record of the loggers it filters from their handlers, its
-    message formatted, so that it can be emitted later, in another process
-    too."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.records: list[logging.LogRecord] = []
-
-    def filter(self, record: logging.LogRecord) -> bool:
-        record.msg, record.args = record.getMessage(), None
-        self.records.append(record)
-        return False
-
-
-def _held(job, item) -> tuple[list[logging.LogRecord], Exception | None, object]:
-    """Run ``job(item)`` with the records of the package's loggers held back:
-    returns them, the exception the job raised (or ``None``) and its result."""
-    held = _HoldBack()
-    loggers = [logging.getLogger(name) for name in ("embedjive.embed_io", "embedjive.evaluate")]
-    for logger in loggers:
-        logger.addFilter(held)
-    try:
-        return held.records, None, job(item)
-    except Exception as exc:  # re-raised by _forked_map, in this process or the parent
-        return held.records, exc, None
-    finally:
-        for logger in loggers:
-            logger.removeFilter(held)
-
-
-def _forked_map(job, items: list[str], sizes: list[int]) -> list:
-    """``[job(item) for item in items]``, in item order, with the jobs shared
-    out over this process and one forked child per further CPU, up to one
-    process per item.  Items are dealt largest ``size`` (bytes of embedding
-    text) first to the least-loaded process (then the one with the fewest
-    items, then this one first).  Forked children inherit ``job`` and what it
-    holds instead of receiving them pickled.
-
-    Each job's log records are held back and re-emitted here in item order;
-    the first item, in item order, whose job raised stops that: its records
-    are emitted and its exception is raised.  A child that ends without
-    returning its results raises ``ChildProcessError`` for its items.  The
-    jobs run inline, one at a time, on one CPU, for one item, without
-    ``os.fork``, or when the children would take less than
-    ``_FORKED_BYTES`` off the longest share.  Every child is reaped before
-    this returns or raises."""
-    workers = min(_cpu_count(), len(items))
-    shares: list[list[int]] = [[] for _ in range(workers)]
-    loads = [0] * workers
-    for i in sorted(range(len(items)), key=sizes.__getitem__, reverse=True):
-        least = min(range(workers), key=lambda w: (loads[w], len(shares[w])))
-        shares[least].append(i)
-        loads[least] += sizes[i]
-    if workers < 2 or not hasattr(os, "fork") or sum(loads) - max(loads) < _FORKED_BYTES:
-        outcomes = (_held(job, item) for item in items)
-    else:
-        outcomes = _forked_outcomes(job, items, shares)
-    results = []
-    for records, error, result in outcomes:
-        for record in records:
-            logging.getLogger(record.name).handle(record)
-        if error is not None:
-            raise error
-        results.append(result)
-    return results
-
-
-def _forked_outcomes(job, items: list[str], shares: list[list[int]]) -> list:
-    """Each item's ``_held`` outcome: the first share's run here, every other
-    share's in a forked child that pickles them back through its own pipe.
-    Each pipe's write end is closed here before the next child is forked, so
-    its only writer is its child.  SIGINT, which a terminal's Ctrl-C sends
-    to the whole process group, is blocked across each fork and stays
-    blocked in the child, so no ``KeyboardInterrupt`` can unwind through the
-    child's copy of the caller's frames; one raised here kills the children.
-    On an error here, children not yet reaped are killed; all are reaped."""
-    import signal  # here only: importing it costs about 1 ms
-
-    outcomes: list = [None] * len(items)
-    children = []  # [pid or None once reaped, read end or None once taken, share]
-    try:
-        for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _run_share(job, items, share, write_fd)
-                children.append([pid, read_fd, share])
-            except OSError:
-                os.close(read_fd)
-                raise
-            finally:
-                os.close(write_fd)
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for i in shares[0]:
-            outcomes[i] = _held(job, items[i])
-        for child in children:
-            pid, read_fd, share = child
-            child[1] = None
-            with open(read_fd, "rb") as pipe:
-                payload = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            child[0] = None
-            if code == 0:
-                for i, outcome in zip(share, pickle.loads(payload)):
-                    outcomes[i] = outcome
-                continue
-            ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            error = ChildProcessError(f"the worker process for {items[share[0]]} {ended} before returning its results")
-            for i in share:
-                outcomes[i] = ([], error, None)
-    finally:
-        for pid, read_fd, _ in children:
-            if read_fd is not None:
-                os.close(read_fd)
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    return outcomes
-
-
-def _run_share(job, items: list[str], share: list[int], write_fd: int):
-    """A forked child's life, with SIGINT blocked: run its share's jobs,
-    write their outcomes to ``write_fd`` pickled, and leave by ``os._exit``
-    (status 0 only once they are written), so that neither the parent's
-    buffered output is flushed nor its exit handlers run here."""
-    status = 1
-    try:
-        payload = pickle.dumps([_held(job, items[i]) for i in share], pickle.HIGHEST_PROTOCOL)
-        with open(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
 
 
 def cmd_report(args) -> int:

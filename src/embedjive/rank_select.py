@@ -22,9 +22,10 @@ n x m frame (Feng et al., "Angle-based joint and individual variation
 explained", JMVA 2018), drawn from t Gaussian rows plus the Bartlett factor
 of the remaining n - t.  A draw costs O(T^3) and O(p m^2), not O(n T^2).
 Each draw has its own generator; the samplers stack chunks of draws into
-one LAPACK call per step and, when the work is large enough to pay for it,
-run the chunks on a thread pool of up to one worker per CPU the process may
-run on.  Every value is the same, bit for bit, whatever the CPU count.
+one LAPACK call per step.  When OpenBLAS runs one thread and the work is
+large enough to pay for it, the chunks run on ``jobs._forked_map``, over
+this process and one forked child per further CPU it may run on.  Every
+value is the same, bit for bit, whatever the CPU count.
 
 Each block's individual rank is its signal rank minus the joint rank, the
 rule of the same AJIVE paper: no second energy rule runs on the leftover
@@ -38,25 +39,30 @@ the count of spectrum values above ``tau_null``, can be read off any decision.
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
 
+from embedjive import jobs
 from embedjive.jive import BlockStack
 from embedjive.linalg import TruncatedSVD
 
-# Draws per stacked LAPACK call.  A chunk's arrays stay in its worker
-# thread's heap: with blocks of 50, 100 and 75 dims and signal ranks 30, 40
-# and 35, two workers on chunks of 10 left `ranks`' peak RSS (set while
-# parsing) unchanged, chunks of 16 raised it by about 0.5 MB and chunks of
-# 25 by about 5.5 MB.
+# Draws per stacked LAPACK call.  A forked chunk's arrays live in its
+# child, which frees them when it exits.  On 2 vCPUs at 1 BLAS thread, with
+# blocks of 50, 100 and 75 dims over 1 500 words, signal ranks 30, 40 and 35
+# and 100 resamples, the child peaked at 34 MB with chunks of 10 and 37 MB
+# with chunks of 25, under the 52 MB its parent held before the selection,
+# which the selection did not raise; `ranks` on inputs of that shape peaked
+# at 56.6 MB, set while parsing, forked or inline, with chunks of 10 or 25.
 _CHUNK = 10
-# Summed work of a selection's samplers (resamples times a draw's leading
-# LAPACK term: T^3 for the null, (p + t + m) m^2 for a Wedin draw) below
-# which the chunks run inline: there a draw is mostly Python and two threads
-# mostly queue for the GIL.  On 2 vCPUs with one BLAS thread, a pool of two
-# was 1.23x slower than inline at 6e7 and 0.83x at 1.1e8.
-_THREADED_WORK = 1e8
+# Work (a draw's leading LAPACK term: T^3 for the null, (p + t + m) m^2 for
+# a Wedin draw, summed over draws) that forked children must take off the
+# longest share, below which the chunks run inline: there a draw is mostly
+# Python, and a fork costs 2-5 ms.  On 2 vCPUs at 1 BLAS thread, two blocks
+# over 1 500 words with 100 resamples, inline against forked in alternating
+# calls: forked was faster in 11/31 and 19/31 at 1.08e6 (13.8 -> 17.6 and
+# 15.6 -> 16.6 ms), in 26/31 and 29/31 at 1.38e6 (18.4 -> 15.7 and
+# 23.7 -> 16.5 ms), 28/31 at 2.7e6 and 15/15 at 6.4e6 (28.4 -> 22.2 ms).
+_FORKED_WORK = 1.2e6
 
 
 def check_settings(energy: float = 0.95, resamples: int = 100, quantile: float = 0.95) -> None:
@@ -106,8 +112,9 @@ def select_joint_rank(
     thresholded at the larger of the Monte Carlo null quantile and the
     Wedin-type floor.  Deterministic given ``seed``: the random stream is
     partitioned per draw, so results do not depend on evaluation order.  The
-    draws run as stacked chunks, on up to one thread per CPU the process may
-    run on, and the decision is bit-identical for every CPU count.
+    draws run as stacked chunks, forked over up to one process per CPU when
+    OpenBLAS runs one thread, and the decision is bit-identical for every
+    CPU count.
 
     ``blocks`` is a :class:`BlockStack`, or a list that is compressed first.
     The spectrum is read off the stack's block SVDs; the samplers and the
@@ -142,7 +149,8 @@ def select_joint_rank(
     spectrum = np.clip(np.linalg.eigvalsh(stacked_bases.T @ stacked_bases)[::-1], 0.0, None)
 
     null_seq, *block_seqs = np.random.SeedSequence(seed).spawn(1 + k_blocks)
-    wedin = [_wedin_sampler(svds[i], t[i], resamples, block_seqs[i], n) for i in range(k_blocks)]
+    wedin = [_wedin_sampler(svds[i], t[i], resamples, block_seqs[i], n, f"block {i} ({stack.names[i]}) Wedin")
+             for i in range(k_blocks)]
     null_max, *wedin_draws = _draw([_null_sampler(n, t, resamples, null_seq), *filter(None, wedin)])
     tau_null = _quantile(null_max, quantile)
     wedin_draws = iter(wedin_draws)
@@ -193,51 +201,34 @@ def _quantile(draws: np.ndarray, quantile: float) -> float:
     return float(np.quantile(draws, quantile, method="higher"))
 
 
-def _sampler(chunk_fn, seq: np.random.SeedSequence, resamples: int, draw_work: int) -> tuple[list, int]:
+def _sampler(chunk_fn, seq: np.random.SeedSequence, resamples: int, draw_work: int, what: str) -> dict:
     """A sampler's jobs, one per chunk of up to ``_CHUNK`` draws in draw
     order, each calling ``chunk_fn`` on its draws' ``SeedSequence``
-    children; and its work, ``resamples * draw_work``."""
+    children: a dict from each chunk's label (``what`` and its draws, as
+    ``null draws 11-20``) to its job and work, ``draw_work`` per draw."""
     children = seq.spawn(resamples)
-    jobs = [functools.partial(chunk_fn, children[i:i + _CHUNK]) for i in range(0, resamples, _CHUNK)]
-    return jobs, resamples * draw_work
+    return {f"{what} draws {i + 1}-{i + len(chunk)}": (functools.partial(chunk_fn, chunk), len(chunk) * draw_work)
+            for i in range(0, resamples, _CHUNK) for chunk in [children[i:i + _CHUNK]]}
 
 
-def _draw(samplers: list[tuple[list, int]]) -> list[np.ndarray]:
+def _draw(samplers: list[dict]) -> list[np.ndarray]:
     """Every sampler's draws, concatenated in draw order.
 
-    The jobs of all samplers go to one thread pool of up to one worker per
-    CPU the process may run on: numpy's LAPACK calls release the GIL, and a
-    job stacks its draws into one call per step, so the workers overlap in
-    LAPACK rather than queue for the GIL.  Below ``_THREADED_WORK`` a draw is
-    mostly Python, and the jobs run inline.  Every draw reads only its own
-    generator, so the result does not depend on the worker count.
+    The chunk jobs of all samplers share one ``jobs._forked_map``, weighed
+    by their work.  They fork only when OpenBLAS runs one thread: otherwise
+    its own threads already use the CPUs.  Every draw reads only its own
+    generator, and a forked chunk's values come back pickled, exactly, so
+    the result does not depend on how the jobs ran.
     """
-    jobs = [job for sampler_jobs, _ in samplers for job in sampler_jobs]
-    workers = min(_cpu_count(), len(jobs))
-    if workers > 1 and sum(work for _, work in samplers) >= _THREADED_WORK:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(lambda job: job(), jobs))
-    else:
-        results = [job() for job in jobs]
-    out, start = [], 0
-    for sampler_jobs, _ in samplers:
-        out.append(np.concatenate(results[start:start + len(sampler_jobs)]))
-        start += len(sampler_jobs)
-    return out
+    chunks = {label: chunk for sampler in samplers for label, chunk in sampler.items()}
+    crossover = _FORKED_WORK if jobs._blas_pinned() else np.inf
+    results = iter(jobs._forked_map(lambda label: chunks[label][0](), list(chunks),
+                                    [work for _, work in chunks.values()], crossover))
+    return [np.concatenate([next(results) for _ in sampler]) for sampler in samplers]
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-def _null_sampler(n: int, ranks: list[int], resamples: int, seq: np.random.SeedSequence) -> tuple[list, int]:
-    return _sampler(functools.partial(_null_chunk, n, ranks), seq, resamples, sum(ranks) ** 3)
+def _null_sampler(n: int, ranks: list[int], resamples: int, seq: np.random.SeedSequence) -> dict:
+    return _sampler(functools.partial(_null_chunk, n, ranks), seq, resamples, sum(ranks) ** 3, "null")
 
 
 def _null_chunk(n: int, ranks: list[int], children: list[np.random.SeedSequence]) -> np.ndarray:
@@ -269,16 +260,17 @@ def _null_spectrum_max(n: int, ranks: list[int], resamples: int, seq: np.random.
 
 
 def _wedin_sampler(
-    svd: TruncatedSVD, t_i: int, resamples: int, seq: np.random.SeedSequence, n: int
-) -> tuple[list, int] | None:
-    """The Wedin bound's draws for one block, or None when the block has no
-    residual above ``1e-12`` of its smallest signal value, so that noise
-    cannot tilt its signal subspace and the bound is 0."""
+    svd: TruncatedSVD, t_i: int, resamples: int, seq: np.random.SeedSequence, n: int, what: str
+) -> dict | None:
+    """The Wedin bound's draws for one block, labelled by ``what``, or None
+    when the block has no residual above ``1e-12`` of its smallest signal
+    value, so that noise cannot tilt its signal subspace and the bound is
+    0."""
     residual_sv = svd.S[t_i:]
     if residual_sv.size == 0 or float(residual_sv.max()) <= float(svd.S[t_i - 1]) * 1e-12:
         return None
     p, m = svd.U.shape[0], residual_sv.size
-    return _sampler(functools.partial(_wedin_chunk, svd, t_i, n), seq, resamples, (p + t_i + m) * m**2)
+    return _sampler(functools.partial(_wedin_chunk, svd, t_i, n), seq, resamples, (p + t_i + m) * m**2, what)
 
 
 def _wedin_chunk(svd: TruncatedSVD, t_i: int, n: int, children: list[np.random.SeedSequence]) -> np.ndarray:
@@ -328,5 +320,5 @@ def _wedin_sin_bound(
     n = 60 and 0% at n = 100; dropping it whenever p <= n would lower
     tau_wedin for blocks near n = p.
     """
-    sampler = _wedin_sampler(svd, t_i, resamples, seq, n)
+    sampler = _wedin_sampler(svd, t_i, resamples, seq, n, "Wedin")
     return 0.0 if sampler is None else _quantile(_draw([sampler])[0], quantile)

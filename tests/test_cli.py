@@ -1,4 +1,3 @@
-import contextlib
 import json
 import logging
 import os
@@ -13,12 +12,14 @@ import numpy as np
 import pytest
 
 import embedjive.cli
+import embedjive.jobs
 from corpus_util import clean_noisy_pair, separable_corpus, write_corpus_tsv
 from embedjive.cli import main
 from embedjive.compose import compose, standard_compositions
 from embedjive.embed_io import EmbeddingMatrix, align_vocabularies, parse_embedding, preprocess, write_embedding
 from embedjive.jive import BlockStack, JiveConfig, jive_fit
 from embedjive.synthetic import make_planted
+from fork_util import assert_no_child_left, counting_forks, deadline
 
 
 @pytest.fixture()
@@ -556,6 +557,27 @@ class TestCompose:
         assert code == 2
         assert "model.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("blocks", [0, 1])
+    def test_model_of_fewer_than_two_blocks_is_refused(self, model_dir, tmp_path, capsys, blocks):
+        # Every per-block list cut alike, so only the block count is wrong.
+        record = json.loads((model_dir / "model.json").read_text())
+        for key in ("block_names", "individual_files", "individual_ranks", "block_sq_norms", "joint_sq",
+                    "individual_sq", "residual_sq"):
+            record[key] = record[key][:blocks]
+        (model_dir / "model.json").write_text(json.dumps(record))
+        named = f"model.json: 'block_names' must list at least 2 blocks, not {blocks}"
+        for compositions in ("joint", "joint+ind0"):
+            out = tmp_path / "x"
+            assert main(["compose", "--model", str(model_dir), "--compositions", compositions,
+                         "--out-dir", str(out)]) == 2
+            assert named in capsys.readouterr().err
+            assert not out.exists()
+        for fmt in ("tsv", "json"):
+            assert main(["report", "--model", str(model_dir), "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert named in captured.err
+            assert captured.out == ""
+
 
     @pytest.mark.parametrize(
         "tamper, named",
@@ -761,42 +783,11 @@ def run_eval(inputs, corpus_paths, out_dir):
 
 
 def on_cpus(monkeypatch, cpus):
-    """Make the CLI see ``cpus`` CPUs and fork for jobs of any size; returns
-    the list to which the pid of every child it forks is appended."""
-    forked = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(embedjive.cli, "_cpu_count", lambda: cpus)
+    """Make the CLI see ``cpus`` CPUs and fork for file jobs of any size;
+    returns the list to which the pid of every child it forks is appended."""
+    monkeypatch.setattr(embedjive.jobs, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(embedjive.cli, "_FORKED_BYTES", 0)
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forked
-
-
-def assert_no_child_left():
-    """This process has no child, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@contextlib.contextmanager
-def deadline(seconds):
-    """Fail the block with ``TimeoutError`` if it runs longer than ``seconds``."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    return counting_forks(monkeypatch)
 
 
 def without_cpus(manifest: bytes) -> dict:
@@ -954,8 +945,9 @@ class TestEval:
 
 
 class TestForkedMap:
-    """``decompose`` writes one factor file per job on ``_forked_map``, which
-    ``eval`` shares; ``compose`` parses the factor files in this process."""
+    """``decompose`` writes one factor file per job on ``jobs._forked_map``,
+    which ``eval`` and the joint-rank draws share; ``compose`` parses the
+    factor files in this process."""
 
     def test_decompose_and_compose_do_not_depend_on_the_cpu_count(self, input_files, tmp_path, capsys, monkeypatch):
         model_dir, composed = tmp_path / "model", tmp_path / "composed"
@@ -1005,7 +997,7 @@ class TestForkedMap:
             return item
 
         with deadline(60), pytest.raises(ChildProcessError) as raised:
-            embedjive.cli._forked_map(job, ["a", "b", "c"], [3, 2, 1])
+            embedjive.jobs._forked_map(job, ["a", "b", "c"], [3, 2, 1], 0)
         assert str(raised.value) == "the worker process for b was killed by signal 9 before returning its results"
         assert len(forked) == 2
         assert_no_child_left()
@@ -1020,7 +1012,7 @@ class TestForkedMap:
             time.sleep(60)  # until killed
 
         with deadline(60), pytest.raises(KeyboardInterrupt):
-            embedjive.cli._forked_map(job, ["a", "b"], [1, 1])
+            embedjive.jobs._forked_map(job, ["a", "b"], [1, 1], 0)
         assert len(forked) == 1
         assert_no_child_left()
 
@@ -1036,7 +1028,7 @@ class TestForkedMap:
             return item, signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, [])
 
         with deadline(60):
-            assert embedjive.cli._forked_map(job, ["a", "b"], [2, 1]) == [("a", False), ("b", True)]
+            assert embedjive.jobs._forked_map(job, ["a", "b"], [2, 1], 0) == [("a", False), ("b", True)]
         assert len(forked) == 1
         assert_no_child_left()
 
@@ -1049,9 +1041,9 @@ class TestForkedMap:
             return item * 2
 
         items = ["a", "bb", "ccc", "d"]
-        assert embedjive.cli._forked_map(job, items, [1, 4, 2, 3]) == ["aa", "bbbb", "cccccc", "dd"]
+        assert embedjive.jobs._forked_map(job, items, [1, 4, 2, 3], 0) == ["aa", "bbbb", "cccccc", "dd"]
         with pytest.raises(ValueError, match="^bad1$"):
-            embedjive.cli._forked_map(job, ["a", "bad1", "bad2"], [1, 1, 9])
+            embedjive.jobs._forked_map(job, ["a", "bad1", "bad2"], [1, 1, 9], 0)
         assert_no_child_left()
 
     def test_forked_eval_loads_no_process_pool(self, eval_files, tmp_path):
@@ -1059,7 +1051,7 @@ class TestForkedMap:
         argv = ["eval", *sum((["--input", str(p)] for p in paths), []), "--train", str(corpus_paths[0]),
                 "--test", str(corpus_paths[1]), "--out-dir", str(tmp_path / "eval")]
         code = ("import os, sys, embedjive.cli as cli\n"
-                "cli._cpu_count, cli._FORKED_BYTES, fork, forks = (lambda: 3), 0, os.fork, []\n"
+                "cli.jobs._cpu_count, cli._FORKED_BYTES, fork, forks = (lambda: 3), 0, os.fork, []\n"
                 "os.fork = lambda: forks.append(1) or fork()\n"
                 f"assert cli.main({argv!r}) == 0\n"
                 "print(len(forks), sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")

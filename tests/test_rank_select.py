@@ -1,11 +1,12 @@
 import dataclasses
-import threading
+import os
+import signal
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from embedjive import rank_select
+from embedjive import jobs, rank_select
 from embedjive.jive import BlockStack
 from embedjive.linalg import truncated_svd
 from embedjive.rank_select import (
@@ -16,6 +17,7 @@ from embedjive.rank_select import (
     select_joint_rank,
 )
 from embedjive.synthetic import make_planted
+from fork_util import assert_no_child_left, counting_forks, deadline
 
 
 class TestEstimateSignalRank:
@@ -189,7 +191,9 @@ class TestSamplersMatchExplicitDraws:
             return plain_qr(a, *args, **kwargs)
 
         # The stack's one compression QR is n rows tall; the samplers' are not.
+        # The draws run inline: the spy sees nothing a forked child does.
         stack = BlockStack([rng.standard_normal((8, n)), rng.standard_normal((10, n))])
+        monkeypatch.setattr(rank_select, "_FORKED_WORK", np.inf)
         monkeypatch.setattr(np.linalg, "qr", spy)
         select_joint_rank(stack, (3, 3), resamples=20, seed=0)
         assert shapes
@@ -353,9 +357,20 @@ STACKED_CASES = [
     ("floor", lambda rng: [rng.standard_normal((8, 200)), _low_rank_block(rng, 10, 3, 200)], (4, 3), 10),
 ]
 
-# How the chunks run: as the machine decides, inline, or on a pool forced
-# past the work threshold with two workers or with more workers than chunks.
+# How the chunks run: as the machine and its BLAS settings decide, inline, or
+# forked past the work threshold, with OpenBLAS pinned to one thread, on two
+# CPUs or on more CPUs than chunks.
 WORKER_MODES = {"auto": None, "inline": (1, np.inf), "two": (2, 0), "many": (64, 0)}
+
+
+def draws_on(monkeypatch, cpus, threshold):
+    """Make the draws see ``cpus`` CPUs, a forking threshold of
+    ``threshold`` and OpenBLAS pinned to one thread; returns the list to
+    which the pid of every child they fork is appended."""
+    monkeypatch.setattr(jobs, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(rank_select, "_FORKED_WORK", threshold)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    return counting_forks(monkeypatch)
 
 
 class TestStackedDrawsMatchLoops:
@@ -365,9 +380,7 @@ class TestStackedDrawsMatchLoops:
     @pytest.mark.parametrize("label, make, ranks, resamples", STACKED_CASES, ids=[c[0] for c in STACKED_CASES])
     def test_decision_equals_reference(self, monkeypatch, mode, label, make, ranks, resamples):
         if WORKER_MODES[mode] is not None:
-            cpus, threshold = WORKER_MODES[mode]
-            monkeypatch.setattr(rank_select, "_cpu_count", lambda: cpus)
-            monkeypatch.setattr(rank_select, "_THREADED_WORK", threshold)
+            draws_on(monkeypatch, *WORKER_MODES[mode])
         stack = BlockStack(make(np.random.default_rng(len(label) * 1000 + resamples)))
         decision = select_joint_rank(stack, ranks, resamples=resamples, quantile=0.9, seed=resamples + 3)
         assert decision == reference_decision(stack, ranks, resamples, 0.9, resamples + 3)
@@ -384,38 +397,67 @@ def _select_small(rng, resamples=20):
     return select_joint_rank(blocks, (5, 5), resamples=resamples, seed=4)
 
 
-class TestWorkerThreads:
-    @pytest.mark.parametrize("threaded", [True, False], ids=["pool", "inline"])
-    def test_no_thread_left_running(self, rng, monkeypatch, threaded):
-        monkeypatch.setattr(rank_select, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(rank_select, "_THREADED_WORK", 0 if threaded else np.inf)
-        on_main_thread = set()
-        plain = rank_select._null_chunk
-
-        def spy(*args):
-            on_main_thread.add(threading.current_thread() is threading.main_thread())
-            return plain(*args)
-
-        monkeypatch.setattr(rank_select, "_null_chunk", spy)
-        before = threading.active_count()
+class TestForkedDraws:
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "inline"])
+    def test_no_child_left(self, rng, monkeypatch, forked):
+        children = draws_on(monkeypatch, 2, 0 if forked else np.inf)
         _select_small(rng)
-        assert threading.active_count() == before
-        assert on_main_thread == {not threaded}
+        assert len(children) == (1 if forked else 0)
+        assert_no_child_left()
 
-    def test_worker_error_reaches_the_caller(self, rng, monkeypatch):
-        monkeypatch.setattr(rank_select, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(rank_select, "_THREADED_WORK", 0)
+    def test_child_error_reaches_the_caller(self, rng, monkeypatch):
+        children = draws_on(monkeypatch, 2, 0)
+        parent = os.getpid()
         plain = rank_select._bartlett
 
-        def non_finite(normals, chisquares):
+        def non_finite_in_child(normals, chisquares):
             plain(normals, chisquares)
-            normals[:] = np.nan
+            if os.getpid() != parent:
+                normals[:] = np.nan
 
-        monkeypatch.setattr(rank_select, "_bartlett", non_finite)
-        before = threading.active_count()
+        monkeypatch.setattr(rank_select, "_bartlett", non_finite_in_child)
         with pytest.raises(np.linalg.LinAlgError):
             _select_small(rng)
-        assert threading.active_count() == before
+        assert len(children) == 1
+        assert_no_child_left()
+
+    def test_killed_child_is_an_error_naming_its_draws(self, rng, monkeypatch):
+        children = draws_on(monkeypatch, 2, 0)
+        parent = os.getpid()
+        plain = rank_select._bartlett
+
+        def killed_in_child(normals, chisquares):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            plain(normals, chisquares)
+
+        monkeypatch.setattr(rank_select, "_bartlett", killed_in_child)
+        with deadline(60), pytest.raises(ChildProcessError) as raised:
+            _select_small(rng)
+        assert len(children) == 1
+        assert_no_child_left()
+        # The error names the child's first chunk: block 0's two Wedin chunks
+        # weigh the most, and are dealt one to each process.
+        assert str(raised.value) == ("the worker process for block 0 (block0) Wedin draws 11-20 was killed by"
+                                     " signal 9 before returning its results")
+
+    @pytest.mark.parametrize("settings, forks", [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
+        ({"MKL_NUM_THREADS": "1"}, False),
+    ], ids=["unset", "openblas", "omp", "openblas-2", "omp-2", "mkl"])
+    def test_draws_fork_only_when_openblas_runs_one_thread(self, rng, monkeypatch, settings, forks):
+        children = draws_on(monkeypatch, 2, 0)
+        for var in jobs._BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in settings.items():
+            monkeypatch.setenv(var, value)
+        _select_small(rng)
+        assert len(children) == (1 if forks else 0)
+        assert_no_child_left()
 
 
 class TestSelectIndividualRanks:

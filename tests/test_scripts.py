@@ -115,12 +115,29 @@ def test_star_import_binds_every_export():
 
 
 def test_cli_import_leaves_the_thread_pool_and_numpy_random_unloaded():
-    """``concurrent.futures`` loads only when joint-rank selection runs its
-    draws on threads, ``multiprocessing`` never (forked jobs use ``os.fork``),
-    and ``numpy.random`` only when a command draws: loaded at import,
-    ``numpy.random`` raised the peak RSS of ``ranks`` by 2.4 MB."""
+    """``concurrent.futures`` and ``multiprocessing`` never load (jobs on
+    every CPU use ``os.fork``), and ``numpy.random`` only when a command
+    draws: loaded at import, ``numpy.random`` raised the peak RSS of
+    ``ranks`` by 2.4 MB."""
     code = ("import sys, embedjive.cli\n"
             "print(sorted({'concurrent.futures', 'multiprocessing', 'numpy.random'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_forked_ranks_loads_no_thread_pool(tmp_path):
+    """``ranks`` with OpenBLAS pinned to one thread, on 2 CPUs and forking
+    draws of any size, forks one child for its draws and loads neither
+    ``concurrent.futures`` nor ``multiprocessing``."""
+    inputs = planted_inputs(tmp_path, (24, 30), 400, 8, (4, 6), seed=1)
+    argv = ["ranks", *sum((["--input", str(path)] for path in inputs), [])]
+    code = ("import os, sys, embedjive.cli as cli, embedjive.rank_select as rank_select\n"
+            "cli.jobs._cpu_count, rank_select._FORKED_WORK, fork, forks = (lambda: 2), 0, os.fork, []\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(len(forks), sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    env = dict(ENV, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1 []"
