@@ -4,7 +4,9 @@ Every filesystem-writing command drops a ``manifest.json`` with the resolved
 configuration, package and library versions, and SHA-256 digests of the
 inputs; with a fixed seed a rerun reproduces every output byte for byte.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 numeric failure.
+Exit codes: 0 success, 2 usage or configuration error, 3 numeric failure (a
+non-finite value, a failed LAPACK solve or broken fit invariants) or a worker
+process that died before returning its results.
 """
 
 from __future__ import annotations
@@ -194,14 +196,18 @@ def _rank_list(text: str, count: int, what: str) -> list[int]:
 def _input_stack(args):
     """Check the rank-selection settings, then read, align, preprocess and
     compress the ``--input`` blocks of ``ranks`` or ``decompose``: once, since
-    the rank rules and every fit sweep reuse the compressed stack."""
+    the rank rules and every fit sweep reuse the compressed stack.  Alignment
+    fills one word-major buffer that preprocessing changes in place and the
+    stack compresses; no parsed block outlives the alignment."""
     if len(args.input) < 2:
         raise ValueError(f"{args.command} needs at least 2 --input embeddings")
     check_settings(args.energy, args.resamples, args.quantile)
-    loaded = [_read_input(spec) for spec in args.input]
-    aligned, n_dropped = align_vocabularies([matrix for matrix, _ in loaded])
-    input_records = [record for _, record in loaded]
-    return BlockStack([preprocess(m) for m in aligned]), input_records, n_dropped
+    matrices, input_records = zip(*map(_read_input, args.input))
+    dims, names = [m.dim for m in matrices], [m.name for m in matrices]
+    vocab, data, n_dropped = align_vocabularies(matrices)
+    del matrices  # the buffer is the only copy of the data from here on
+    preprocess(data, dims, names)
+    return BlockStack(data, dims, names, vocab), list(input_records), n_dropped
 
 
 def _resolve_ranks(args, stack: BlockStack) -> tuple[int, list[int], dict | None]:
@@ -650,7 +656,9 @@ def main(argv: list[str] | None = None) -> int:
             argv[command_at + 1:command_at + 1] = _config_flags(config)
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (NumericError, FloatingPointError) as exc:
+    # A failed LAPACK solve is a ValueError and a dead worker process an
+    # OSError: both are numeric or run failures, not usage errors.
+    except (NumericError, FloatingPointError, np.linalg.LinAlgError, ChildProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError, KeyError) as exc:

@@ -7,7 +7,9 @@ Two formats are supported:
 
 Matrices are stored feature-major: ``data[j, i]`` is feature ``j`` of word
 ``vocab[i]``, so a block is a dense ``p x n`` array with the vocabulary along
-the columns.
+the columns.  Alignment instead fills one word-major ``n x P`` buffer for all
+blocks: row ``i`` holds word ``vocab[i]``, block after block, and
+preprocessing and the compression work on it in place.
 """
 
 from __future__ import annotations
@@ -268,12 +270,14 @@ def write_embedding(matrix: EmbeddingMatrix, path: str | Path, fmt: str = "glove
             fh.write(f"{word} {' '.join(map(repr, row))}\n")
 
 
-def align_vocabularies(inputs: list[EmbeddingMatrix]) -> tuple[list[EmbeddingMatrix], list[int]]:
+def align_vocabularies(inputs: list[EmbeddingMatrix]) -> tuple[list[str], np.ndarray, list[int]]:
     """Restrict all blocks to their shared vocabulary, in lexicographic order,
-    and count the words each input dropped.
+    in one word-major buffer, and count the words each input dropped.
 
-    The canonical order makes alignment deterministic across runs; every
-    returned block carries an identical vocabulary list.
+    Returns ``(vocab, data, dropped_per_source)``: ``data`` is n x P (n shared
+    words, P the summed dims), row ``j`` holding word ``vocab[j]``, and input
+    i's values fill the next ``inputs[i].dim`` columns, in input order.  The
+    canonical order makes alignment deterministic across runs.
     """
     if len(inputs) < 2:
         raise ValueError("need at least 2 embeddings to align")
@@ -283,23 +287,29 @@ def align_vocabularies(inputs: list[EmbeddingMatrix]) -> tuple[list[EmbeddingMat
     if not shared:
         raise ValueError("no shared vocabulary")
     order = sorted(shared)
-    aligned = []
-    for m in inputs:
+    dims = [m.dim for m in inputs]
+    data = np.empty((len(order), sum(dims)))
+    for m, block in zip(inputs, np.split(data, np.cumsum(dims)[:-1], axis=1)):
         cols = np.fromiter((m._index[w] for w in order), dtype=np.intp, count=len(order))
-        aligned.append(EmbeddingMatrix(vocab=list(order), data=m.data[:, cols], name=m.name))
-    return aligned, [m.n_words - len(order) for m in inputs]
+        np.take(m.data.T, cols, axis=0, out=block)
+    return order, data, [m.n_words - len(order) for m in inputs]
 
 
-def preprocess(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Center every feature row and scale the block to unit Frobenius norm.
+def preprocess(data: np.ndarray, dims: list[int], names: list[str]) -> None:
+    """Center every feature of each block of a word-major buffer over the
+    words and scale the block to unit Frobenius norm, in place.
 
-    Idempotent up to rounding.  Raises on blocks that are constant along the
-    vocabulary axis (nothing left after centering).
+    Block i is the next ``dims[i]`` columns of ``data`` (n words x P) and is
+    named ``names[i]`` in errors.  Idempotent up to rounding.  Raises on a
+    block that is constant along the vocabulary axis (nothing left after
+    centering).
     """
-    if matrix.n_words < 2:
-        raise ValueError(f"{matrix.name}: need at least 2 words to center")
-    centered = matrix.data - matrix.data.mean(axis=1, keepdims=True)
-    scale = float(np.linalg.norm(centered))
-    if scale <= 1e-13 * float(np.linalg.norm(matrix.data)):
-        raise ValueError(f"{matrix.name}: degenerate block: zero variance")
-    return EmbeddingMatrix(vocab=list(matrix.vocab), data=centered / scale, name=matrix.name)
+    if data.shape[0] < 2:
+        raise ValueError(f"{names[0]}: need at least 2 words to center")
+    for block, name in zip(np.split(data, np.cumsum(dims)[:-1], axis=1), names):
+        norm = float(np.linalg.norm(block))
+        block -= block.mean(axis=0)
+        scale = float(np.linalg.norm(block))
+        if scale <= 1e-13 * norm:
+            raise ValueError(f"{name}: degenerate block: zero variance")
+        block /= scale

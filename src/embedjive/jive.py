@@ -77,13 +77,13 @@ the same input takes the same steps and gives the same bytes.
 
 Every iterate lies in the row space of the stacked data X (P x n, P the
 summed block dims, n the vocabulary).  :class:`BlockStack` therefore takes
-one reduced QR of the stacked transpose, ``X' = Q R``, and the fit runs on
-the rows of ``C = R'`` (P x min(P, n)): ``X = C Q'`` with orthonormal
-columns in ``Q``, so every Frobenius norm, singular value and row inner
-product of the compressed blocks equals that of the originals.  The QR,
-O(n P^2), and lifting the fitted score rows back to words with ``Q'`` are
-the only steps that touch the vocabulary axis; each sweep costs O(P^2 r)
-for ranks up to r.
+one reduced QR of the stacked transpose, ``X' = Q R``, which it is handed
+as one word-major n x P buffer, and the fit runs on the rows of ``C = R'``
+(P x min(P, n)): ``X = C Q'`` with orthonormal columns in ``Q``, so every
+Frobenius norm, singular value and row inner product of the compressed
+blocks equals that of the originals.  The QR, O(n P^2), and lifting the
+fitted score rows back to words with ``Q'`` are the only steps that touch
+the vocabulary axis; each sweep costs O(P^2 r) for ranks up to r.
 
 The variance report, :func:`variance_explained`, is each block's
 joint/individual/residual energy split in percent, as the plain dictionary
@@ -98,7 +98,6 @@ from functools import cached_property
 
 import numpy as np
 
-from embedjive.embed_io import EmbeddingMatrix
 from embedjive.linalg import NumericError, TruncatedSVD, truncated_svd
 
 # Residuals at or below this fraction of ||X||_F^2 count as an exact fit; the
@@ -230,49 +229,48 @@ class JiveResult:
 class BlockStack:
     """Two or more validated blocks over one vocabulary, compressed once.
 
-    The stack holds one reduced QR of the stacked transpose, ``X' = Q R``:
+    ``data`` is the stack's one n x P word-major buffer (row ``j`` is word
+    ``j``), block i its next ``dims[i]`` columns; the stack keeps no
+    reference to it.  The stack holds one reduced QR of it, ``X' = Q R``:
     ``stacked`` is ``C = R'`` (P x min(P, n)), ``block(i)`` its rows for
     block i, ``svds[i]`` that block's one full SVD, and ``lift`` maps rows
-    back to the n words through ``Q'``.
-    ``vocab`` is the blocks' shared vocabulary when every block is an
-    :class:`EmbeddingMatrix`, else ``None``.
+    back to the n words through ``Q'``.  ``names`` default to ``block<i>``;
+    ``vocab`` is the shared vocabulary, or ``None``.
     """
 
-    def __init__(self, blocks):
-        items = list(blocks)
-        arrays, self.names = [], []
-        for i, block in enumerate(items):
-            if isinstance(block, EmbeddingMatrix):
-                arr, name = block.data, block.name
-            else:
-                arr, name = np.asarray(block, dtype=float), f"block{i}"
-            if arr.ndim != 2:
-                raise ValueError(f"block {i} must be a 2-D matrix, got shape {arr.shape}")
-            if not np.isfinite(arr).all():
-                raise NumericError(f"block {i} contains non-finite entries")
-            arrays.append(arr)
-            self.names.append(name)
-        if len(arrays) < 2:
-            raise ValueError("need at least 2 blocks")
-        self.n = arrays[0].shape[1]
-        for i, arr in enumerate(arrays):
-            if arr.shape[1] != self.n:
-                raise ValueError(f"block {i} has {arr.shape[1]} columns, expected {self.n}")
-        vocabs = [b.vocab for b in items if isinstance(b, EmbeddingMatrix)]
-        self.vocab = vocabs[0] if len(vocabs) == len(items) else None
-        if self.vocab is not None and any(v != self.vocab for v in vocabs[1:]):
-            raise ValueError("blocks have mismatched vocabularies; align them first")
-        self.dims = [arr.shape[0] for arr in arrays]
+    def __init__(self, data: np.ndarray, dims: Sequence[int], names: Sequence[str] | None = None,
+                 vocab: list[str] | None = None):
+        self.dims = [int(p) for p in dims]
+        if len(self.dims) < 2 or data.shape[1:] != (sum(self.dims),):
+            raise ValueError(f"need at least 2 blocks that fill the buffer's columns, got {self.dims} for {data.shape}")
+        self.n = data.shape[0]
+        self.names = list(names) if names is not None else [f"block{i}" for i in range(len(self.dims))]
+        self.vocab = vocab
         offsets = np.cumsum([0, *self.dims])
         self.slices = [slice(offsets[i], offsets[i + 1]) for i in range(len(self.dims))]
-        self.sq_norms = [_fro2(arr) for arr in arrays]
-        self._q, r = np.linalg.qr(np.vstack(arrays).T)
+        for i, s in enumerate(self.slices):
+            if not np.isfinite(data[:, s]).all():
+                raise NumericError(f"block {i} contains non-finite entries")
+        # vdot sums a p_i x n view feature after feature: the bits of a feature-major block's energy.
+        self.sq_norms = [_fro2(data[:, s].T) for s in self.slices]
+        self._q, r = np.linalg.qr(data)
         self.stacked = np.ascontiguousarray(r.T)
 
     @classmethod
     def of(cls, blocks) -> "BlockStack":
-        """``blocks`` itself if it is already a stack, else a new stack of them."""
-        return blocks if isinstance(blocks, cls) else cls(blocks)
+        """``blocks`` itself if it is already a stack, else a stack of a list
+        of ``p_i x n`` arrays, copied into one word-major buffer.  Embedding
+        blocks take the route the CLI takes: :func:`align_vocabularies`,
+        :func:`preprocess`, then the constructor."""
+        if isinstance(blocks, cls):
+            return blocks
+        arrays = [np.asarray(b, dtype=float) for b in blocks]
+        for i, arr in enumerate(arrays):
+            if arr.ndim != 2 or arr.shape[1] != arrays[0].shape[1]:
+                raise ValueError(f"block {i} has shape {arr.shape}; blocks must be 2-D, with block 0's columns")
+        dims = [arr.shape[0] for arr in arrays]
+        data = np.empty((arrays[0].shape[1] if arrays else 0, sum(dims)))
+        return cls(np.concatenate([arr.T for arr in arrays], axis=1, out=data), dims)
 
     def __len__(self) -> int:
         return len(self.dims)
@@ -325,8 +323,8 @@ def jive_fit(blocks, config: JiveConfig) -> JiveResult:
     ``config.epsilon`` relative, a plain sweep fails to lower it, or
     ``config.max_iter`` sweeps have been accepted after sweep 0.
 
-    ``blocks`` is a list of arrays or :class:`EmbeddingMatrix` blocks, or a
-    :class:`BlockStack`; a list is compressed first."""
+    ``blocks`` is a :class:`BlockStack`, or a list of ``p_i x n`` arrays
+    that is compressed first."""
     stack = BlockStack.of(blocks)
     config.validate(stack.shapes)
 

@@ -6,6 +6,8 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -130,7 +132,7 @@ def run_decompose(paths, out_dir, extra=()):
 class TestDecompose:
     def test_outputs_and_golden_rerun(self, input_files, tmp_path, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        before = [open(p, "rb").read() for p in input_files]
+        before = [Path(p).read_bytes() for p in input_files]
         assert run_decompose(input_files, out_a) == 0
         assert run_decompose(input_files, out_b) == 0
         capsys.readouterr()
@@ -138,7 +140,7 @@ class TestDecompose:
         for name in names:
             assert (out_a / name).exists(), name
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
-        assert [open(p, "rb").read() for p in input_files] == before
+        assert [Path(p).read_bytes() for p in input_files] == before
 
     def test_missing_input(self, input_files, tmp_path, capsys):
         code = run_decompose([input_files[0], str(tmp_path / "absent.txt")], tmp_path / "out")
@@ -208,8 +210,11 @@ class TestDecompose:
                 "--individual-ranks", "4,6", "--out-dir", str(out)]
         assert main(argv) == 0
         capsys.readouterr()
-        aligned, _ = align_vocabularies([parse_embedding(path) for path in paths])
-        stack = BlockStack([preprocess(m) for m in aligned])
+        parsed = [parse_embedding(path) for path in paths]
+        dims, names = [m.dim for m in parsed], [m.name for m in parsed]
+        vocab, data, _ = align_vocabularies(parsed)
+        preprocess(data, dims, names)
+        stack = BlockStack(data, dims, names, vocab)
         result = jive_fit(stack, JiveConfig(joint_rank=8, individual_ranks=(4, 6)))
         fitted = {"joint.txt": result.joint_basis, "ind_0.txt": result.individual_scores[0],
                   "ind_1.txt": result.individual_scores[1]}
@@ -321,6 +326,87 @@ class TestDecompose:
         assert not out.exists()
 
 
+def parent_route(specs):
+    """The compression route that the word-major buffer replaced: aligned
+    copies of the parsed blocks, preprocessed copies of those, ``np.vstack``
+    and the QR of its transpose.  Returns the vocabulary, ``C = R'``, the
+    block energies and ``Q``."""
+    parsed = [parse_embedding(*spec.rsplit(":", 1)) for spec in specs]
+    order = sorted(set.intersection(*(set(m.vocab) for m in parsed)))
+    blocks = []
+    for m in parsed:
+        aligned = m.data[:, np.array([m.column_index(w) for w in order], dtype=np.intp)]
+        centered = aligned - aligned.mean(axis=1, keepdims=True)
+        blocks.append(centered / float(np.linalg.norm(centered)))
+    q, r = np.linalg.qr(np.vstack(blocks).T)
+    return order, np.ascontiguousarray(r.T), [float(np.vdot(b, b).real) for b in blocks], q
+
+
+class TestOneBuffer:
+    """``ranks`` and ``decompose`` align, preprocess and compress through one
+    word-major buffer, with the bits of the route it replaced."""
+
+    @pytest.fixture()
+    def specs(self, tmp_path):
+        # Three formats and dims; each file drops its own words, and the
+        # glove file repeats a word, whose first occurrence is kept.
+        model = make_planted((6, 8, 7), 60, 2, (1, 2, 1), noise_sigma=0.05, seed=12)
+        vocab = [f"w{i:03d}" for i in range(60)]
+        specs = []
+        for i, (block, fmt) in enumerate(zip(model.blocks, ["glove-text", "word2vec-text", "auto"])):
+            keep = [j for j in range(60) if j % 7 != i]
+            path = tmp_path / f"in{i}.txt"
+            write_embedding(EmbeddingMatrix([vocab[j] for j in keep], block[:, keep], f"in{i}"), path,
+                            "word2vec-text" if fmt == "word2vec-text" else "glove-text")
+            specs.append(f"{path}:{fmt}")
+        with open(tmp_path / "in0.txt", "a", encoding="utf-8") as fh:
+            fh.write("w001 " + " ".join(["9.5"] * 6) + "\n")
+        return specs
+
+    def test_same_bits_as_the_copying_route(self, specs, caplog):
+        args = embedjive.cli.build_parser().parse_args(["ranks", *sum((["--input", s] for s in specs), [])])
+        stack, _, n_dropped = embedjive.cli._input_stack(args)
+        vocab, stacked, sq_norms, q = parent_route(specs)
+        assert "skipped 1 duplicate words" in caplog.text
+        assert n_dropped == [18, 18, 18] and len(vocab) == 33
+        assert stack.vocab == vocab
+        assert np.array_equal(stack.stacked, stacked)
+        assert stack.sq_norms == sq_norms
+        rows = np.random.default_rng(0).standard_normal((4, stacked.shape[1]))
+        assert np.array_equal(stack.lift(rows), rows @ q.T)
+
+    def test_no_copy_between_parse_and_compression(self, specs, tmp_path, monkeypatch, capsys):
+        events, parsed = [], []
+        parse, qr, vstack = embedjive.cli.parse_embedding, np.linalg.qr, np.vstack
+        post_init, checked = EmbeddingMatrix.__post_init__, EmbeddingMatrix._checked.__func__
+
+        def parse_spy(*args, **kwargs):
+            matrix = parse(*args, **kwargs)
+            parsed.append(weakref.ref(matrix))
+            events.append("parse")
+            return matrix
+
+        def qr_spy(a, *args, **kwargs):
+            events.append(("qr", a.shape, sum(ref() is not None for ref in parsed)))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(embedjive.cli, "parse_embedding", parse_spy)
+        monkeypatch.setattr(np.linalg, "qr", qr_spy)
+        monkeypatch.setattr(np, "vstack", lambda *a, **k: events.append("vstack") or vstack(*a, **k))
+        monkeypatch.setattr(EmbeddingMatrix, "__post_init__", lambda self: events.append("matrix") or post_init(self))
+        monkeypatch.setattr(EmbeddingMatrix, "_checked",
+                            classmethod(lambda cls, *a: events.append("matrix") or checked(cls, *a)))
+        argv = ["decompose", *sum((["--input", s] for s in specs), []), "--joint-rank", "2",
+                "--individual-ranks", "1,2,1", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        last_parse = max(i for i, event in enumerate(events) if event == "parse")
+        compress = next(i for i, event in enumerate(events) if event[0] == "qr")
+        assert last_parse < compress and events[last_parse + 1:compress] == []
+        # The one n x P buffer, with no parsed matrix left alive.
+        assert events[compress] == ("qr", (33, 21), 0)
+
+
 class TestRunContract:
     def test_stop_reason_and_invariants_recorded(self, input_files, tmp_path, capsys):
         out = tmp_path / "out"
@@ -389,6 +475,30 @@ class TestRunContract:
         with pytest.raises(SystemExit) as exc:
             run_decompose(input_files, tmp_path / "unchecked", ["--no-orthogonality"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError("Eigenvalues did not converge"),
+                                       ChildProcessError("the worker process for null draws 1-10 was killed by signal 9"
+                                                         " before returning its results")],
+                             ids=["LinAlgError", "ChildProcessError"])
+    def test_failed_solve_or_dead_worker_exits_3(self, input_files, tmp_path, capsys, monkeypatch, error):
+        # LinAlgError is a ValueError and ChildProcessError an OSError, the
+        # exceptions that mean a usage error.
+        def select(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(embedjive.cli, "select_joint_rank", select)
+        assert main(["ranks", "--input", input_files[0], "--input", input_files[1]]) == 3
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_singular_covariance_exits_2(self, tmp_path, capsys):
+        # One record per class leaves no within-class scatter: l2 0 is a usage error.
+        embedding, corpus = tmp_path / "emb.txt", tmp_path / "corpus.tsv"
+        embedding.write_text("a 1.0 0.0\nb 0.0 1.0\n", encoding="utf-8")
+        corpus.write_text("0\ta\n1\tb\n", encoding="utf-8")
+        argv = ["eval", "--input", str(embedding), "--train", str(corpus), "--test", str(corpus), "--l2", "0",
+                "--out-dir", str(tmp_path / "eval")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: within-class covariance is singular; use l2 > 0\n"
 
     def test_invariant_messages_in_full(self, input_files, tmp_path, capsys, tampered_fit):
         def tamper(result):

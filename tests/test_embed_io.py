@@ -190,16 +190,19 @@ class TestAlign:
 
     def test_intersection(self):
         a, b = self._emb(["a", "b", "c"]), self._emb(["b", "c", "d"], seed=1)
-        aligned, dropped = align_vocabularies([a, b])
-        assert aligned[0].vocab == aligned[1].vocab == ["b", "c"]
+        vocab, data, dropped = align_vocabularies([a, b])
+        assert vocab == ["b", "c"]
         assert dropped == [1, 1]
-        np.testing.assert_array_equal(aligned[0].data, a.data[:, [1, 2]])
+        # Word-major: one row per shared word, each block's columns in input order.
+        assert data.shape == (2, 6) and data.flags.c_contiguous
+        np.testing.assert_array_equal(data[:, :3], a.data[:, [1, 2]].T)
+        np.testing.assert_array_equal(data[:, 3:], b.data[:, [0, 1]].T)
 
     def test_identity(self):
         a, b = self._emb(["a", "b"]), self._emb(["a", "b"], seed=1)
-        aligned, dropped = align_vocabularies([a, b])
+        vocab, data, dropped = align_vocabularies([a, b])
         assert dropped == [0, 0]
-        assert aligned[0].n_words == 2
+        assert vocab == ["a", "b"] and data.shape == (2, 6)
 
     def test_disjoint(self):
         with pytest.raises(ValueError, match="no shared vocabulary"):
@@ -207,9 +210,11 @@ class TestAlign:
 
     def test_identical_vocab_arrays(self):
         blocks = [self._emb(["c", "a", "b"]), self._emb(["b", "c", "a"], seed=1), self._emb(["a", "c", "b"], seed=2)]
-        aligned, _ = align_vocabularies(blocks)
-        for m in aligned[1:]:
-            assert m.vocab == aligned[0].vocab
+        vocab, data, _ = align_vocabularies(blocks)
+        assert vocab == ["a", "b", "c"]
+        for i, m in enumerate(blocks):
+            rows = [m.column_index(w) for w in vocab]
+            np.testing.assert_array_equal(data[:, 3 * i:3 * i + 3], m.data[:, rows].T)
 
     def test_needs_two(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -217,35 +222,40 @@ class TestAlign:
 
 
 class TestPreprocess:
+    """``preprocess`` works in place on a word-major buffer, block by block."""
+
     def test_small_example(self):
-        m = EmbeddingMatrix(vocab=["u", "v"], data=[[1.0, 3.0], [2.0, 2.0]])
-        out = preprocess(m)
-        expected = np.array([[-1.0, 1.0], [0.0, 0.0]]) / math.sqrt(2.0)
-        np.testing.assert_allclose(out.data, expected, atol=1e-15)
+        # Two words; block "u" has features (1, 3) and (2, 2), block "v" (5, 7).
+        data = np.array([[1.0, 2.0, 5.0], [3.0, 2.0, 7.0]])
+        preprocess(data, [2, 1], ["u", "v"])
+        expected = np.array([[-1.0, 0.0, -1.0], [1.0, 0.0, 1.0]]) / math.sqrt(2.0)
+        np.testing.assert_allclose(data, expected, atol=1e-15)
 
     def test_idempotent(self, rng):
-        m = EmbeddingMatrix(vocab=[f"w{i}" for i in range(30)], data=rng.standard_normal((4, 30)))
-        once = preprocess(m)
-        twice = preprocess(once)
-        assert np.abs(twice.data - once.data).max() < 1e-12
+        data = rng.standard_normal((30, 7))
+        preprocess(data, [4, 3], ["a", "b"])
+        once = data.copy()
+        preprocess(data, [4, 3], ["a", "b"])
+        assert np.abs(data - once).max() < 1e-12
 
     def test_against_two_pass_oracle(self, rng):
-        m = EmbeddingMatrix(vocab=[f"w{i}" for i in range(100)], data=rng.standard_normal((5, 100)) * 3 + 1)
-        out = preprocess(m)
+        data = rng.standard_normal((100, 9)) * 3 + 1
+        preprocess(data, [5, 4], ["a", "b"])
         # independent two-pass computation with compensated sums
-        for row in out.data:
-            assert abs(math.fsum(row) / len(row)) < 1e-12
-        fro = math.sqrt(math.fsum(v * v for v in out.data.ravel()))
-        assert abs(fro - 1.0) < 1e-12
+        for block in (data[:, :5], data[:, 5:]):
+            for column in block.T:
+                assert abs(math.fsum(column) / len(column)) < 1e-12
+            fro = math.sqrt(math.fsum(v * v for v in block.ravel()))
+            assert abs(fro - 1.0) < 1e-12
 
     def test_degenerate(self):
-        m = EmbeddingMatrix(vocab=["a", "b"], data=[[2.0, 2.0], [5.0, 5.0]])
-        with pytest.raises(ValueError, match="zero variance"):
-            preprocess(m)
+        data = np.array([[1.0, 2.0, 5.0], [3.0, 2.0, 5.0]])
+        with pytest.raises(ValueError, match="^b: degenerate block: zero variance$"):
+            preprocess(data, [2, 1], ["a", "b"])
 
     def test_needs_two_words(self):
         with pytest.raises(ValueError, match="at least 2 words"):
-            preprocess(EmbeddingMatrix(vocab=["a"], data=[[1.0]]))
+            preprocess(np.array([[1.0, 2.0]]), [1, 1], ["a", "b"])
 
 
 class TestWrite:

@@ -6,7 +6,7 @@ import pytest
 
 from corpus_util import clean_noisy_pair, separable_corpus
 from embedjive.compose import compose, parse_composition
-from embedjive.embed_io import EmbeddingMatrix, preprocess
+from embedjive.embed_io import EmbeddingMatrix, align_vocabularies, preprocess
 from embedjive.evaluate import (
     LabeledCorpus,
     evaluate,
@@ -14,7 +14,7 @@ from embedjive.evaluate import (
     read_corpus_tsv,
     train_linear,
 )
-from embedjive.jive import JiveConfig, jive_fit
+from embedjive.jive import BlockStack, JiveConfig, jive_fit
 from embedjive.synthetic import make_planted
 
 # The package re-exports a function named ``evaluate``, so the module is
@@ -259,8 +259,10 @@ class TestProperties:
 
         weak_raw = EmbeddingMatrix(vocab=vocab, data=weak, name="weak")
         strong_raw = EmbeddingMatrix(vocab=vocab, data=model.blocks[1], name="strong")
-        blocks = [preprocess(m).data for m in (weak_raw, strong_raw)]
-        result = jive_fit(blocks, JiveConfig(joint_rank=3, individual_ranks=(3, 3)))
+        aligned, data, _ = align_vocabularies([weak_raw, strong_raw])
+        assert aligned == vocab
+        preprocess(data, [20, 30], ["weak", "strong"])
+        result = jive_fit(BlockStack(data, [20, 30]), JiveConfig(joint_rank=3, individual_ranks=(3, 3)))
         joint = compose(result, parse_composition("joint", 2), vocab)
 
         def accuracy(embedding):

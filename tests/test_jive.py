@@ -441,7 +441,7 @@ class TestCompressedFit:
     def test_compressed_width(self, rng):
         for dims, n in (((8, 12), 90), ((30, 40), 50), ((20, 30), 50)):
             blocks = [rng.standard_normal((p, n)) for p in dims]
-            stack = BlockStack(blocks)
+            stack = BlockStack.of(blocks)
             assert stack.stacked.shape == (sum(dims), min(sum(dims), n))
             for i, block in enumerate(blocks):
                 assert np.abs(stack.lift(stack.block(i)) - block).max() <= 1e-12
@@ -481,7 +481,7 @@ class TestCompressedFit:
             assert sorted(calls) == sorted(2 * [r for r in (joint_rank, *ranks) if r])
 
     def test_block_svds_taken_once_on_first_use(self, rng):
-        stack = BlockStack([rng.standard_normal((5, 40)), rng.standard_normal((7, 40))])
+        stack = BlockStack.of([rng.standard_normal((5, 40)), rng.standard_normal((7, 40))])
         # A fit with given ranks never reads them, so it does not pay for them.
         jive_fit(stack, JiveConfig(joint_rank=2, individual_ranks=(1, 2)))
         assert "svds" not in vars(stack)
@@ -494,7 +494,7 @@ class TestCompressedFit:
     def test_prebuilt_stack_gives_the_same_fit(self, rng):
         blocks = [rng.standard_normal((5, 40)), rng.standard_normal((7, 40))]
         config = JiveConfig(joint_rank=2, individual_ranks=(1, 2), epsilon=1e-8)
-        from_list, from_stack = jive_fit(blocks, config), jive_fit(BlockStack(blocks), config)
+        from_list, from_stack = jive_fit(blocks, config), jive_fit(BlockStack.of(blocks), config)
         assert from_list.residual_history == from_stack.residual_history
         assert np.array_equal(from_list.joint_basis, from_stack.joint_basis)
 

@@ -192,7 +192,7 @@ class TestSamplersMatchExplicitDraws:
 
         # The stack's one compression QR is n rows tall; the samplers' are not.
         # The draws run inline: the spy sees nothing a forked child does.
-        stack = BlockStack([rng.standard_normal((8, n)), rng.standard_normal((10, n))])
+        stack = BlockStack.of([rng.standard_normal((8, n)), rng.standard_normal((10, n))])
         monkeypatch.setattr(rank_select, "_FORKED_WORK", np.inf)
         monkeypatch.setattr(np.linalg, "qr", spy)
         select_joint_rank(stack, (3, 3), resamples=20, seed=0)
@@ -261,7 +261,7 @@ class TestCompressedStack:
         blocks = [rng.standard_normal((p, 2000)) for p in dims]
         blocks[1][:1] += 2.0 * blocks[0][:1]
         spectrum, tau, joint_rank, wedin_sin2 = _word_wide_decision(blocks, ranks, 7_007_000)
-        compressed = select_joint_rank(BlockStack(blocks), ranks, seed=7_007_000)
+        compressed = select_joint_rank(BlockStack.of(blocks), ranks, seed=7_007_000)
         assert np.abs(np.array(compressed["spectrum"]) - spectrum).max() <= 1e-12
         assert abs(compressed["tau"] - tau) <= 1e-12
         assert compressed["joint_rank"] == joint_rank
@@ -269,7 +269,7 @@ class TestCompressedStack:
 
     def test_signal_ranks_match(self, rng):
         blocks = [rng.standard_normal((10, 200)) * np.linspace(3, 0.1, 10)[:, None], rng.standard_normal((12, 200))]
-        stack = BlockStack(blocks)
+        stack = BlockStack.of(blocks)
         for svd, block in zip(stack.svds, blocks):
             sv = np.linalg.svd(block, compute_uv=False)
             assert estimate_signal_rank(svd.S, energy=0.9) == estimate_signal_rank(sv, energy=0.9)
@@ -381,7 +381,7 @@ class TestStackedDrawsMatchLoops:
     def test_decision_equals_reference(self, monkeypatch, mode, label, make, ranks, resamples):
         if WORKER_MODES[mode] is not None:
             draws_on(monkeypatch, *WORKER_MODES[mode])
-        stack = BlockStack(make(np.random.default_rng(len(label) * 1000 + resamples)))
+        stack = BlockStack.of(make(np.random.default_rng(len(label) * 1000 + resamples)))
         decision = select_joint_rank(stack, ranks, resamples=resamples, quantile=0.9, seed=resamples + 3)
         assert decision == reference_decision(stack, ranks, resamples, 0.9, resamples + 3)
         if label in ("full", "floor"):
@@ -487,7 +487,7 @@ class TestSelectIndividualRanks:
         # 5% energy allowance of the default signal-rank policy.
         model = make_planted((20, 30), 150, 3, (2, 2), joint_scales=(4.0, 3.6, 3.2),
                              individual_scales=((3.0, 2.4), (3.0, 2.4)), noise_sigma=0.01, seed=17)
-        stack = BlockStack(model.blocks)
+        stack = BlockStack.of(model.blocks)
         signal_ranks = [estimate_signal_rank(svd.S, energy=0.95) for svd in stack.svds]
         decision = select_joint_rank(stack, signal_ranks, seed=2)
         assert (decision["joint_rank"], decision["individual_ranks"]) == (3, [2, 2])
